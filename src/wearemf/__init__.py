@@ -17,17 +17,14 @@ from .compliance import (
     sweep,
 )
 from .exposure import (
-    FREE_SPACE_IMPEDANCE_OHMS,
     ConvergenceError,
     ExposureResult,
     QuadratureSpec,
     TissueProperties,
     power_density,
-    power_density_from_field,
     reflection_coefficient,
     sar_avg,
     sar_boundary,
-    sar_local,
 )
 from .link import (
     BOLTZMANN_J_PER_K,
@@ -66,17 +63,14 @@ __all__ = [
     "LimitUnreachableError",
     "min_safe_distance",
     "sweep",
-    "FREE_SPACE_IMPEDANCE_OHMS",
     "ConvergenceError",
     "ExposureResult",
     "QuadratureSpec",
     "TissueProperties",
     "power_density",
-    "power_density_from_field",
     "reflection_coefficient",
     "sar_avg",
     "sar_boundary",
-    "sar_local",
     "BOLTZMANN_J_PER_K",
     "LinkScenario",
     "db_to_linear",

@@ -147,7 +147,7 @@ def _run_presets(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns 0 on success, 1 on usage or input errors,
-    2 on numerical failures (non-convergence, unreachable limit)."""
+    2 on numerical failures (non-convergence, unreachable limit, arithmetic error)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConvergenceError, LimitUnreachableError) as exc:
+    except (ConvergenceError, LimitUnreachableError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ScenarioError, OSError, ValueError) as exc:

@@ -11,11 +11,13 @@ from .exposure import (
     ExposureResult,
     QuadratureSpec,
     TissueProperties,
+    _mean_gain,
     power_density,
     sar_avg,
     sar_boundary,
 )
-from .link import LinkScenario, db_to_linear, dbm_to_watts, fspl_db, shannon_rate_bps, snr_db
+from .link import (LinkScenario, db_to_linear, dbm_to_watts, fspl_db, noise_power_dbm,
+                   shannon_rate_bps)
 
 __all__ = [
     "ComplianceLimit",
@@ -58,7 +60,8 @@ BUILTIN_LIMITS = {
 
 @dataclass(frozen=True)
 class DistanceSearch:
-    """Bracket and tolerance for the safe-distance bisection."""
+    """Search range for the safe distance, and the accuracy ``tol_m``
+    that callers may check its result against."""
 
     d_lo_m: float = 1e-3
     d_hi_m: float = 1.0
@@ -73,6 +76,11 @@ class DistanceSearch:
             raise ValueError("tol_m must be > 0")
 
 
+# rounding puts the closed-form start within a few float steps of the
+# crossing, unless the square of the near end is a subnormal double
+_MAX_STEPS = 64
+
+
 def min_safe_distance(
     scenario: LinkScenario,
     tissue: TissueProperties,
@@ -80,32 +88,41 @@ def min_safe_distance(
     search: DistanceSearch = DistanceSearch(),
     quadrature: QuadratureSpec = QuadratureSpec(),
 ) -> Union[float, str]:
-    """Smallest compliant separation in [d_lo_m, d_hi_m], to within tol_m.
+    """Smallest compliant separation in [d_lo_m, d_hi_m].
 
-    The averaged SAR decreases strictly with distance, so bisection
-    brackets the crossing of the limit.  Returns COMPLIANT_EVERYWHERE
+    The averaged SAR is K/d^2, so the limit is crossed at
+    d_lo_m * sqrt(SAR(d_lo_m) / limit).  The solve starts there and
+    steps up one float at a time until the averaged SAR complies: the
+    returned distance always complies and lies within a few float
+    steps of the smallest one that does.  Returns COMPLIANT_EVERYWHERE
     when the near end of the range already complies, and raises
-    LimitUnreachableError when the far end does not.  The returned
-    distance itself always complies.
+    LimitUnreachableError when the far end does not.  Raises
+    OverflowError or FloatingPointError when the averaged SAR at the
+    near end is too large or too imprecise to extrapolate from.
     """
     threshold = limit.sar_limit_w_per_kg
     lo = search.d_lo_m
     hi = search.d_hi_m
-    if sar_avg(scenario, tissue, lo, quadrature) <= threshold:
+    sar_lo = sar_avg(scenario, tissue, lo, quadrature)
+    if sar_lo <= threshold:
         return COMPLIANT_EVERYWHERE
     if sar_avg(scenario, tissue, hi, quadrature) > threshold:
         raise LimitUnreachableError(
             f"averaged SAR still exceeds {threshold} W/kg ({limit.name}) "
             f"at the far end of the search range, {hi} m")
-    while hi - lo > search.tol_m:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval no longer splittable in floating point
-        if sar_avg(scenario, tissue, mid, quadrature) <= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    d = lo * math.sqrt(sar_lo / threshold)
+    if math.isinf(d):
+        raise OverflowError(
+            f"averaged SAR at the near end of the search range, {lo} m, is too "
+            f"large to extrapolate to the {limit.name} crossing")
+    d = min(hi, d)
+    for _ in range(_MAX_STEPS):
+        if sar_avg(scenario, tissue, d, quadrature) <= threshold:
+            return d
+        d = math.nextafter(d, hi)
+    raise FloatingPointError(
+        f"averaged SAR at the near end of the search range, {lo} m, is too "
+        f"imprecise to locate the {limit.name} crossing")
 
 
 def sweep(
@@ -118,6 +135,8 @@ def sweep(
 
     Distances must be strictly increasing and positive; an empty
     sequence yields an empty list.  Row order matches input order.
+    Rows equal fspl_db, snr_db, shannon_rate_bps, power_density,
+    sar_boundary and sar_avg at their distance, bit for bit.
     """
     previous = 0.0
     for d in distances:
@@ -130,18 +149,24 @@ def sweep(
                                  antenna.boresight_azimuth_deg)
     boresight_gain = db_to_linear(boresight_gain_db)
     tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+    # summed in snr_db's order, so each row's SNR is bit-identical to it
+    budget_dbm = scenario.tx_power_dbm + boresight_gain_db + scenario.rx_gain_dbi
+    noise_dbm = noise_power_dbm(scenario.bandwidth_hz, scenario.noise_figure_db,
+                                scenario.temperature_k)
+    mean_gain = _mean_gain(antenna, quadrature)
 
     rows: list[ExposureResult] = []
     for d in distances:
-        snr = snr_db(scenario, d)
+        loss = fspl_db(d, scenario.carrier_mhz)
+        snr = budget_dbm - loss - noise_dbm
         pd_boresight = power_density(tx_power_w, boresight_gain, d)
         rows.append(ExposureResult(
             distance_m=d,
-            path_loss_db=fspl_db(d, scenario.carrier_mhz),
+            path_loss_db=loss,
             snr_db=snr,
             rate_bps=shannon_rate_bps(scenario.bandwidth_hz, snr),
             boresight_pd_w_per_m2=pd_boresight,
             boresight_sar_w_per_kg=sar_boundary(pd_boresight, tissue),
-            avg_sar_w_per_kg=sar_avg(scenario, tissue, d, quadrature),
+            avg_sar_w_per_kg=sar_boundary(power_density(tx_power_w, mean_gain, d), tissue),
         ))
     return rows

@@ -21,20 +21,15 @@ from .antenna import AntennaConfig, _power_ratio
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
-    "FREE_SPACE_IMPEDANCE_OHMS",
     "QuadratureSpec",
     "TissueProperties",
     "ExposureResult",
     "ConvergenceError",
-    "power_density_from_field",
     "power_density",
     "reflection_coefficient",
-    "sar_local",
     "sar_boundary",
     "sar_avg",
 ]
-
-FREE_SPACE_IMPEDANCE_OHMS = 376.73  # plane-wave |E|^2 to W/m^2 conversion
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
@@ -76,7 +71,6 @@ class TissueProperties:
     """
 
     rel_permittivity: complex = complex(1.0, 0.0)
-    conductivity_s_per_m: float = 0.0
     mass_density_kg_per_m3: float = 1000.0
     penetration_depth_m: float = 1e-3
     reflection_override: float | None = None
@@ -85,8 +79,6 @@ class TissueProperties:
         eps = complex(self.rel_permittivity)
         if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
             raise ValueError("rel_permittivity must be finite")
-        if not (math.isfinite(self.conductivity_s_per_m) and self.conductivity_s_per_m >= 0.0):
-            raise ValueError("conductivity_s_per_m must be >= 0")
         if not (math.isfinite(self.mass_density_kg_per_m3) and self.mass_density_kg_per_m3 > 0.0):
             raise ValueError("mass_density_kg_per_m3 must be > 0")
         if not (math.isfinite(self.penetration_depth_m) and self.penetration_depth_m > 0.0):
@@ -118,13 +110,6 @@ class ExposureResult:
                 raise ValueError(f"{name} must be >= 0")
 
 
-def power_density_from_field(e_field_v_per_m: float) -> float:
-    """Plane-wave power density |E|^2 / eta_0 in W/m^2."""
-    if not (math.isfinite(e_field_v_per_m) and e_field_v_per_m >= 0.0):
-        raise ValueError("e_field_v_per_m must be >= 0")
-    return e_field_v_per_m * e_field_v_per_m / FREE_SPACE_IMPEDANCE_OHMS
-
-
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:
     """Far-field power density P*G / (4*pi*d^2) in W/m^2."""
     if not (math.isfinite(tx_power_w) and tx_power_w > 0.0):
@@ -150,14 +135,6 @@ def reflection_coefficient(tissue: TissueProperties) -> float:
         raise ValueError("rel_permittivity must have a positive real part")
     root = cmath.sqrt(eps)
     return abs((root - 1.0) / (root + 1.0))
-
-
-def sar_local(e_field_v_per_m: float, tissue: TissueProperties) -> float:
-    """Point SAR sigma*|E|^2 / rho in W/kg for an in-tissue field."""
-    if not (math.isfinite(e_field_v_per_m) and e_field_v_per_m >= 0.0):
-        raise ValueError("e_field_v_per_m must be >= 0")
-    return (tissue.conductivity_s_per_m * e_field_v_per_m * e_field_v_per_m
-            / tissue.mass_density_kg_per_m3)
 
 
 def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
@@ -194,6 +171,19 @@ def _mean_power_ratio(antenna: AntennaConfig, samples: int) -> float:
     return total / (panels * panels)
 
 
+def _mean_gain(antenna: AntennaConfig, quadrature: QuadratureSpec) -> float:
+    """Linear gain averaged over both angles, validated on a doubled grid."""
+    samples = quadrature.samples_per_axis
+    mean_ratio = _mean_power_ratio(antenna, samples)
+    refined = _mean_power_ratio(antenna, 2 * (samples - 1) + 1)
+    if abs(refined - mean_ratio) > quadrature.convergence_tol * abs(refined):
+        raise ConvergenceError(
+            f"pattern average moved from {mean_ratio!r} to {refined!r} on grid "
+            f"doubling ({samples} to {2 * (samples - 1) + 1} samples per axis), "
+            f"beyond relative tolerance {quadrature.convergence_tol!r}")
+    return db_to_linear(antenna.g_max_dbi) * mean_ratio
+
+
 def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
             quadrature: QuadratureSpec = QuadratureSpec()) -> float:
     """Angle-averaged boundary SAR at one distance, in W/kg.
@@ -206,15 +196,6 @@ def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
     """
     if not (math.isfinite(distance_m) and distance_m > 0.0):
         raise ValueError("distance_m must be > 0")
-    antenna = scenario.tx_antenna
-    samples = quadrature.samples_per_axis
-    mean_ratio = _mean_power_ratio(antenna, samples)
-    refined = _mean_power_ratio(antenna, 2 * (samples - 1) + 1)
-    if abs(refined - mean_ratio) > quadrature.convergence_tol * abs(refined):
-        raise ConvergenceError(
-            f"pattern average moved from {mean_ratio!r} to {refined!r} on grid "
-            f"doubling ({samples} to {2 * (samples - 1) + 1} samples per axis), "
-            f"beyond relative tolerance {quadrature.convergence_tol!r}")
-    mean_gain = db_to_linear(antenna.g_max_dbi) * mean_ratio
+    mean_gain = _mean_gain(scenario.tx_antenna, quadrature)
     pd_mean = power_density(dbm_to_watts(scenario.tx_power_dbm), mean_gain, distance_m)
     return sar_boundary(pd_mean, tissue)

@@ -227,7 +227,6 @@ def _parse_tissue(raw) -> TissueProperties:
     tissue = _build(
         "tissue", TissueProperties,
         rel_permittivity=complex(eps_real, -eps_imag),
-        conductivity_s_per_m=section.take("conductivity_s_per_m", "float", 0.0),
         mass_density_kg_per_m3=section.take("mass_density_kg_per_m3", "float", 1000.0),
         penetration_depth_m=section.take("penetration_depth_m", "float", 1e-3),
         reflection_override=override,
@@ -374,7 +373,6 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     tissue_doc = {
         "rel_permittivity_real": eps.real,
         "rel_permittivity_imag": -eps.imag,
-        "conductivity_s_per_m": tissue.conductivity_s_per_m,
         "mass_density_kg_per_m3": tissue.mass_density_kg_per_m3,
         "penetration_depth_m": tissue.penetration_depth_m,
     }
@@ -430,7 +428,8 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
 
     CSV carries one row per distance with the fixed header in
     CSV_FIELDS and values in scientific notation with 9 significant
-    digits; JSON is an array of objects with the same field names.
+    digits; JSON is an array of objects with the same field names, and
+    a non-finite value raises ValueError rather than emit invalid JSON.
     Output is bit-identical across runs for identical inputs.
     """
     if fmt not in ("csv", "json"):
@@ -445,4 +444,4 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
         lines.extend(",".join(f"{value:.8e}" for value in record) for record in records)
         return ("\n".join(lines) + "\n").encode("ascii")
     payload = [dict(zip(CSV_FIELDS, record)) for record in records]
-    return (json.dumps(payload, indent=2) + "\n").encode("ascii")
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("ascii")

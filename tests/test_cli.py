@@ -54,6 +54,21 @@ def test_safe_distance_unreachable_limit_exits_2():
     assert b"error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--preset", "wearable-60ghz", "--from", "1e-160", "--to", "1e-159",
+     "--points", "2"),
+    ("sweep", "--preset", "wearable-60ghz", "--from", "1e-170", "--to", "1e-169",
+     "--points", "2"),
+    ("safe-distance", "--preset", "wearable-60ghz", "--limit", "ICNIRP",
+     "--from", "1e-170"),
+])
+def test_floating_point_failures_exit_2(argv):
+    code, _, err = run_cli(*argv)
+    assert code == 2
+    assert len(err.decode().splitlines()) == 1
+    assert b"Traceback" not in err
+
+
 def test_unknown_limit_name_exits_1():
     code, _, err = run_cli("safe-distance", "--preset", "wearable-60ghz",
                            "--limit", "OSHA")

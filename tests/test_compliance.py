@@ -17,10 +17,17 @@ from wearemf import (
     PatternModel,
     QuadratureSpec,
     TissueProperties,
+    db_to_linear,
+    dbm_to_watts,
+    fspl_db,
+    gain_dbi,
     load_preset,
     min_safe_distance,
+    power_density,
     shannon_rate_bps,
     sar_avg,
+    sar_boundary,
+    snr_db,
     sweep,
 )
 
@@ -103,6 +110,51 @@ def test_bisection_iteration_bound(monkeypatch):
     assert calls["n"] - 2 <= bound
 
 
+@pytest.mark.parametrize("limit_name", ["ICNIRP", "FCC"])
+@pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
+def test_solver_returns_the_smallest_compliant_float(monkeypatch, preset, limit_name):
+    calls = {"n": 0}
+    true_sar_avg = wearemf.compliance.sar_avg
+
+    def counting(*args, **kwargs):
+        calls["n"] += 1
+        return true_sar_avg(*args, **kwargs)
+
+    monkeypatch.setattr(wearemf.compliance, "sar_avg", counting)
+    limit = BUILTIN_LIMITS[limit_name]
+    found = min_safe_distance(preset.scenario, preset.tissue, limit,
+                              quadrature=preset.quadrature)
+    assert calls["n"] <= 3
+    below = math.nextafter(found, 0.0)
+    assert sar_avg(preset.scenario, preset.tissue, found, preset.quadrature) \
+        <= limit.sar_limit_w_per_kg \
+        < sar_avg(preset.scenario, preset.tissue, below, preset.quadrature)
+
+
+@pytest.mark.parametrize("limit_name", ["ICNIRP", "FCC"])
+@pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
+def test_solver_result_does_not_depend_on_the_bracket(preset, limit_name):
+    limit = BUILTIN_LIMITS[limit_name]
+    short, wide = (min_safe_distance(preset.scenario, preset.tissue, limit,
+                                     DistanceSearch(d_hi_m=d_hi), preset.quadrature)
+                   for d_hi in (1.0, 1e3))
+    assert short == wide
+
+
+@pytest.mark.parametrize("tx_power_dbm, d_lo_m, error", [
+    # the averaged SAR at the near end overflows
+    (10.0, 2e-156, OverflowError),
+    # the square of the near end is subnormal, so the start is far off
+    (-100.0, 2e-161, FloatingPointError),
+])
+def test_solver_refuses_a_near_end_beyond_double_precision(tx_power_dbm, d_lo_m, error):
+    link = LinkScenario(carrier_mhz=60000.0, bandwidth_hz=2.16e9,
+                        tx_power_dbm=tx_power_dbm, tx_antenna=P60.scenario.tx_antenna)
+    with pytest.raises(error):
+        min_safe_distance(link, P60.tissue, BUILTIN_LIMITS["ICNIRP"],
+                          DistanceSearch(d_lo_m=d_lo_m), P60.quadrature)
+
+
 def test_solver_stable_under_grid_refinement():
     search = DistanceSearch()
     fine = QuadratureSpec(samples_per_axis=721)
@@ -136,6 +188,25 @@ def test_sweep_inverse_square_between_rows():
     rows = sweep(P60.scenario, P60.tissue, [0.004, 0.008], P60.quadrature)
     assert rows[0].avg_sar_w_per_kg == 4.0 * rows[1].avg_sar_w_per_kg
     assert rows[0].boresight_pd_w_per_m2 == 4.0 * rows[1].boresight_pd_w_per_m2
+
+
+@pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
+def test_sweep_rows_equal_the_scalar_chain(preset):
+    sc, tissue, quadrature = preset.scenario, preset.tissue, preset.quadrature
+    antenna = sc.tx_antenna
+    boresight_gain = db_to_linear(gain_dbi(antenna, antenna.boresight_elevation_deg,
+                                           antenna.boresight_azimuth_deg))
+    distances = [float(d) for d in np.geomspace(1e-3, 10.0, 200)]
+    for row, d in zip(sweep(sc, tissue, distances, quadrature), distances):
+        snr = snr_db(sc, d)
+        pd = power_density(dbm_to_watts(sc.tx_power_dbm), boresight_gain, d)
+        assert row.distance_m == d
+        assert row.path_loss_db == fspl_db(d, sc.carrier_mhz)
+        assert row.snr_db == snr
+        assert row.rate_bps == shannon_rate_bps(sc.bandwidth_hz, snr)
+        assert row.boresight_pd_w_per_m2 == pd
+        assert row.boresight_sar_w_per_kg == sar_boundary(pd, tissue)
+        assert row.avg_sar_w_per_kg == sar_avg(sc, tissue, d, quadrature)
 
 
 def test_sweep_single_distance_reference_rate():

@@ -1,17 +1,14 @@
-"""Power density, reflection, point SAR, and the angle-averaged SAR."""
+"""Power density, reflection, boundary SAR, and the angle-averaged SAR."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wearemf import (
     AntennaConfig,
     ConvergenceError,
     ExposureResult,
-    FREE_SPACE_IMPEDANCE_OHMS,
     LinkScenario,
     PatternModel,
     QuadratureSpec,
@@ -19,11 +16,9 @@ from wearemf import (
     db_to_linear,
     dbm_to_watts,
     power_density,
-    power_density_from_field,
     reflection_coefficient,
     sar_avg,
     sar_boundary,
-    sar_local,
 )
 
 ULA16 = AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=11.9,
@@ -37,25 +32,7 @@ def _scenario(antenna, tx_power_dbm=10.0):
     return LinkScenario(carrier_mhz=60000.0, bandwidth_hz=2.16e9,
                         tx_power_dbm=tx_power_dbm, tx_antenna=antenna)
 
-SKIN = TissueProperties(rel_permittivity=complex(7.98, -10.9),
-                        conductivity_s_per_m=36.38)
-
-
-def test_power_density_from_field_basics():
-    assert power_density_from_field(0.0) == 0.0
-    matched = math.sqrt(FREE_SPACE_IMPEDANCE_OHMS)
-    assert power_density_from_field(matched) == pytest.approx(1.0, rel=1e-12)
-    assert power_density_from_field(19.41) == pytest.approx(1.0, rel=1e-3)
-    with pytest.raises(ValueError):
-        power_density_from_field(-1.0)
-
-
-@given(e_field=st.floats(min_value=1e-3, max_value=1e3,
-                         allow_nan=False, allow_infinity=False))
-@settings(max_examples=100, deadline=None)
-def test_field_doubling_quadruples_power_density(e_field):
-    assert power_density_from_field(2.0 * e_field) == pytest.approx(
-        4.0 * power_density_from_field(e_field), rel=1e-15)
+SKIN = TissueProperties(rel_permittivity=complex(7.98, -10.9))
 
 
 def test_power_density_isotropic_reference():
@@ -110,15 +87,6 @@ def test_reflection_rejects_non_positive_real_part():
         reflection_coefficient(TissueProperties(rel_permittivity=complex(-2.0, -1.0)))
 
 
-def test_sar_local_unit_substitution():
-    tissue = TissueProperties(conductivity_s_per_m=1.0)
-    assert sar_local(1.0, tissue) == pytest.approx(1e-3, rel=1e-15)
-    assert sar_local(2.0, tissue) == pytest.approx(4e-3, rel=1e-15)
-    assert sar_local(1.0, TissueProperties(conductivity_s_per_m=0.0)) == 0.0
-    with pytest.raises(ValueError):
-        sar_local(-1.0, tissue)
-
-
 def test_sar_boundary_unit_substitution_is_exact():
     tissue = TissueProperties(reflection_override=0.0)
     assert sar_boundary(1.0, tissue) == 2.0
@@ -148,16 +116,6 @@ def test_sar_boundary_continuous_in_reflection():
               for g in gammas]
     steps = np.abs(np.diff(values))
     assert steps.max() < 0.03  # smooth, no jumps
-
-
-@given(tx_power_w=st.floats(min_value=1e-4, max_value=10.0),
-       gain=st.floats(min_value=0.01, max_value=100.0),
-       distance=st.floats(min_value=1e-3, max_value=10.0))
-@settings(max_examples=100, deadline=None)
-def test_field_and_transmitter_forms_agree(tx_power_w, gain, distance):
-    pd_direct = power_density(tx_power_w, gain, distance)
-    e_field = math.sqrt(FREE_SPACE_IMPEDANCE_OHMS * pd_direct)
-    assert power_density_from_field(e_field) == pytest.approx(pd_direct, rel=1e-12)
 
 
 def test_sar_avg_isotropic_equals_point_sar_exactly():
@@ -230,7 +188,6 @@ def test_quadrature_spec_validation(kwargs):
 @pytest.mark.parametrize("kwargs", [
     dict(mass_density_kg_per_m3=0.0),
     dict(penetration_depth_m=0.0),
-    dict(conductivity_s_per_m=-1.0),
     dict(reflection_override=-0.1),
     dict(reflection_override=1.0),
     dict(rel_permittivity=complex(math.nan, 0.0)),

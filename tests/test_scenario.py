@@ -118,6 +118,9 @@ def test_defaults_fill_missing_optional_fields():
     (MINIMAL.replace("g_max_dbi: 3.0", "g_max_dbi: 3.0\n  taper: hann"),
      "antenna.taper"),
     (MINIMAL + "tissue:\n  wetness: high\n", "tissue.wetness"),
+    # conductivity duplicated the loss term of the permittivity and was dropped
+    (MINIMAL + "tissue:\n  conductivity_s_per_m: 36.38\n",
+     "tissue.conductivity_s_per_m"),
     (MINIMAL + "sweep:\n  start_m: 0.01\n  stop_m: 0.1\n  points: 5\n  step: 2\n",
      "sweep.step"),
     (MINIMAL + "limits:\n  - name: X\n    sar_limit_w_per_kg: 1.0\n    body: arm\n",
@@ -265,6 +268,14 @@ def test_emission_is_deterministic():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_results(_rows(), "xml")
+
+
+def test_json_refuses_non_finite_values():
+    row = ExposureResult(distance_m=0.012, path_loss_db=29.6, snr_db=76.9,
+                         rate_bps=5.5e10, boresight_pd_w_per_m2=85.6,
+                         boresight_sar_w_per_kg=87.3, avg_sar_w_per_kg=math.inf)
+    with pytest.raises(ValueError):
+        emit_results([row], "json")
 
 
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False,

@@ -160,11 +160,16 @@ def sweep(
         loss = fspl_db(d, scenario.carrier_mhz)
         snr = budget_dbm - loss - noise_dbm
         pd_boresight = power_density(tx_power_w, boresight_gain, d)
+        try:
+            rate = shannon_rate_bps(scenario.bandwidth_hz, snr)
+        except OverflowError as exc:
+            raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
+                                "for the Shannon rate") from exc
         rows.append(ExposureResult(
             distance_m=d,
             path_loss_db=loss,
             snr_db=snr,
-            rate_bps=shannon_rate_bps(scenario.bandwidth_hz, snr),
+            rate_bps=rate,
             boresight_pd_w_per_m2=pd_boresight,
             boresight_sar_w_per_kg=sar_boundary(pd_boresight, tissue),
             avg_sar_w_per_kg=sar_boundary(power_density(tx_power_w, mean_gain, d), tissue),

@@ -111,14 +111,25 @@ class ExposureResult:
 
 
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:
-    """Far-field power density P*G / (4*pi*d^2) in W/m^2."""
+    """Far-field power density P*G / (4*pi*d^2) in W/m^2.
+
+    Raises OverflowError, naming the distance, when the result is too
+    large for a double.
+    """
     if not (math.isfinite(tx_power_w) and tx_power_w > 0.0):
         raise ValueError("tx_power_w must be > 0")
     if not (math.isfinite(gain_linear) and gain_linear > 0.0):
         raise ValueError("gain_linear must be > 0")
     if not (math.isfinite(distance_m) and distance_m > 0.0):
         raise ValueError("distance_m must be > 0")
-    return tx_power_w * gain_linear / (_FOUR_PI * (distance_m * distance_m))
+    try:
+        pd = tx_power_w * gain_linear / (_FOUR_PI * (distance_m * distance_m))
+    except ZeroDivisionError:  # d^2 underflowed to zero
+        pd = math.inf
+    if pd == math.inf:
+        raise OverflowError(
+            f"power density P*G/(4*pi*d^2) overflows at distance {distance_m!r} m")
+    return pd
 
 
 def reflection_coefficient(tissue: TissueProperties) -> float:

@@ -1,13 +1,15 @@
 """Scenario file ingestion, built-in presets, and result emission.
 
 Scenario files are YAML with nested key-value sections (documented in
-the README).  Loading is strict: unknown keys are rejected by name,
-missing optional keys fall back to documented defaults, and every
-value passes the invariants of the record it lands in.
+the README).  Each section's keys are the fields of the record it
+builds, read with the fields' types and defaults.  Loading is strict:
+unknown keys are rejected by name, and every value passes the
+invariants of the record it lands in.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -115,9 +117,6 @@ class ScenarioFile:
             raise ValueError("sweep_grid must be a SweepGrid")
 
 
-_MISSING = object()
-
-
 def _number_hint(value) -> str:
     # YAML 1.1 reads '2.16e9' as a string: the exponent needs a sign
     if not isinstance(value, str):
@@ -131,10 +130,20 @@ def _number_hint(value) -> str:
 
 
 def _coerce(label: str, value, kind: str):
+    """``value`` as the type a record field is annotated with.
+
+    ``kind`` is the annotation's text: the record modules postpone
+    annotations, so ``dataclasses.fields`` reports them as strings.
+    """
+    # "X | None" fields default to None when absent; a null value is rejected
+    kind = kind.removesuffix(" | None")
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioError(f"'{label}' must be a number{_number_hint(value)}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ScenarioError(f"'{label}' is too large for a float") from None
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             if isinstance(value, float) and value.is_integer():
@@ -149,101 +158,75 @@ def _coerce(label: str, value, kind: str):
         if not isinstance(value, str):
             raise ScenarioError(f"'{label}' must be a string")
         return value
+    if kind == "tuple[float, ...]":
+        if not isinstance(value, list):
+            raise ScenarioError(f"'{label}' must be a list of numbers")
+        return tuple(_coerce(f"{label}[{i}]", v, "float") for i, v in enumerate(value))
+    if kind == "PatternModel":
+        name = _coerce(label, value, "str")
+        try:
+            return PatternModel(name)
+        except ValueError:
+            options = ", ".join(m.value for m in PatternModel)
+            raise ScenarioError(f"'{label}' must be one of: {options}") from None
     raise AssertionError(kind)
 
 
-class _Section:
-    """One mapping node; tracks consumed keys so leftovers can be named."""
-
-    def __init__(self, name: str, raw) -> None:
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            where = name if name else "the scenario document"
-            raise ScenarioError(f"{where} must be a mapping")
-        self.name = name
-        self.raw = dict(raw)
-
-    def _label(self, key: str) -> str:
-        return f"{self.name}.{key}" if self.name else key
-
-    def take(self, key: str, kind: str, default=_MISSING):
-        if key not in self.raw:
-            if default is _MISSING:
-                raise ScenarioError(f"missing required key '{self._label(key)}'")
-            return default
-        return _coerce(self._label(key), self.raw.pop(key), kind)
-
-    def take_node(self, key: str):
-        return self.raw.pop(key, None)
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def finish(self) -> None:
-        if self.raw:
-            key = sorted(self.raw)[0]
-            raise ScenarioError(f"unknown key '{self._label(key)}'")
+def _label(section: str, key) -> str:
+    return f"{section}.{key}" if section else str(key)
 
 
-def _build(section: str, factory, **kwargs):
+def _mapping(section: str, raw) -> dict:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{section or 'the scenario document'} must be a mapping")
+    return dict(raw)
+
+
+def _no_leftovers(section: str, raw: dict) -> None:
+    # the first in document order: YAML keys need not be comparable
+    if raw:
+        raise ScenarioError(f"unknown key '{_label(section, next(iter(raw)))}'")
+
+
+def _record(record, section: str, raw, **given):
+    """Build ``record`` from the keys of ``raw`` named after its fields.
+
+    Fields passed in ``given`` are not read from ``raw``.  A present key
+    is coerced by its field's annotation, an absent one keeps the field
+    default, and a field without a default is required.
+    """
+    raw = _mapping(section, raw)
+    values = dict(given)
+    for field in dataclasses.fields(record):
+        if field.name in given:
+            continue
+        if field.name in raw:
+            values[field.name] = _coerce(
+                _label(section, field.name), raw.pop(field.name), field.type)
+        elif field.default is dataclasses.MISSING:
+            raise ScenarioError(f"missing required key '{_label(section, field.name)}'")
     try:
-        return factory(**kwargs)
+        built = record(**values)
     except ValueError as exc:
         raise ScenarioError(f"{section}: {exc}") from exc
-
-
-def _parse_antenna(raw) -> AntennaConfig:
-    section = _Section("antenna", raw)
-    model_name = section.take("model", "str")
-    try:
-        model = PatternModel(model_name)
-    except ValueError:
-        options = ", ".join(m.value for m in PatternModel)
-        raise ScenarioError(f"'antenna.model' must be one of: {options}") from None
-    config = _build(
-        "antenna", AntennaConfig,
-        model=model,
-        g_max_dbi=section.take("g_max_dbi", "float"),
-        n_elements=section.take("n_elements", "int", 1),
-        element_spacing_wavelengths=section.take("element_spacing_wavelengths", "float", 0.5),
-        theta_3db_deg=section.take("theta_3db_deg", "float", 93.0),
-        sidelobe_floor_db=section.take("sidelobe_floor_db", "float", 30.0),
-        boresight_elevation_deg=section.take("boresight_elevation_deg", "float", 0.0),
-        boresight_azimuth_deg=section.take("boresight_azimuth_deg", "float", 0.0),
-        omni_azimuth=section.take("omni_azimuth", "bool", False),
-    )
-    section.finish()
-    return config
+    _no_leftovers(section, raw)
+    return built
 
 
 def _parse_tissue(raw) -> TissueProperties:
-    section = _Section("tissue", raw)
-    eps_real = section.take("rel_permittivity_real", "float", 1.0)
-    eps_imag = section.take("rel_permittivity_imag", "float", 0.0)
+    raw = _mapping("tissue", raw)
+    # eps' - j*eps'': the loss term is -imag, taken as 0.0 - imag so zero stays +0.0
+    default = TissueProperties.rel_permittivity
+    eps_real = _coerce("tissue.rel_permittivity_real",
+                       raw.pop("rel_permittivity_real", default.real), "float")
+    eps_imag = _coerce("tissue.rel_permittivity_imag",
+                       raw.pop("rel_permittivity_imag", 0.0 - default.imag), "float")
     if eps_imag < 0.0:
         raise ScenarioError("'tissue.rel_permittivity_imag' is the loss term and must be >= 0")
-    override = section.take("reflection_override", "float", None)
-    tissue = _build(
-        "tissue", TissueProperties,
-        rel_permittivity=complex(eps_real, -eps_imag),
-        mass_density_kg_per_m3=section.take("mass_density_kg_per_m3", "float", 1000.0),
-        penetration_depth_m=section.take("penetration_depth_m", "float", 1e-3),
-        reflection_override=override,
-    )
-    section.finish()
-    return tissue
-
-
-def _parse_quadrature(raw) -> QuadratureSpec:
-    section = _Section("quadrature", raw)
-    spec = _build(
-        "quadrature", QuadratureSpec,
-        samples_per_axis=section.take("samples_per_axis", "int", 361),
-        convergence_tol=section.take("convergence_tol", "float", 1e-3),
-    )
-    section.finish()
-    return spec
+    return _record(TissueProperties, "tissue", raw,
+                   rel_permittivity=complex(eps_real, -eps_imag))
 
 
 def _parse_limits(raw) -> tuple[ComplianceLimit, ...]:
@@ -251,72 +234,28 @@ def _parse_limits(raw) -> tuple[ComplianceLimit, ...]:
         return (BUILTIN_LIMITS["ICNIRP"], BUILTIN_LIMITS["FCC"])
     if not isinstance(raw, list):
         raise ScenarioError("'limits' must be a list")
-    limits = []
-    for index, entry in enumerate(raw):
-        section = _Section(f"limits[{index}]", entry)
-        limits.append(_build(
-            f"limits[{index}]", ComplianceLimit,
-            name=section.take("name", "str"),
-            sar_limit_w_per_kg=section.take("sar_limit_w_per_kg", "float"),
-            averaging_mass_note=section.take("averaging_mass_note", "str", ""),
-        ))
-        section.finish()
-    return tuple(limits)
-
-
-def _parse_sweep(raw) -> SweepGrid | None:
-    if raw is None:
-        return None
-    section = _Section("sweep", raw)
-    if section.has("distances_m"):
-        values = section.take_node("distances_m")
-        if not isinstance(values, list):
-            raise ScenarioError("'sweep.distances_m' must be a list of numbers")
-        distances = tuple(
-            _coerce(f"sweep.distances_m[{i}]", v, "float") for i, v in enumerate(values))
-        grid = _build("sweep", SweepGrid, distances_m=distances)
-    else:
-        grid = _build(
-            "sweep", SweepGrid,
-            start_m=section.take("start_m", "float"),
-            stop_m=section.take("stop_m", "float"),
-            points=section.take("points", "int"),
-        )
-    section.finish()
-    return grid
+    return tuple(_record(ComplianceLimit, f"limits[{index}]", entry)
+                 for index, entry in enumerate(raw))
 
 
 def _parse_document(doc) -> ScenarioFile:
-    top = _Section("", doc)
-    label = top.take("label", "str", "")
-
-    link_raw = top.take_node("link")
-    if link_raw is None:
+    top = _mapping("", doc)
+    label = _coerce("label", top.pop("label", LinkScenario.label), "str")
+    link = top.pop("link", None)
+    if link is None:
         raise ScenarioError("missing required section 'link'")
-    link = _Section("link", link_raw)
-    antenna_raw = top.take_node("antenna")
-    if antenna_raw is None:
+    link = _mapping("link", link)
+    antenna = top.pop("antenna", None)
+    if antenna is None:
         raise ScenarioError("missing required section 'antenna'")
-    antenna = _parse_antenna(antenna_raw)
-
-    scenario = _build(
-        "link", LinkScenario,
-        carrier_mhz=link.take("carrier_mhz", "float"),
-        bandwidth_hz=link.take("bandwidth_hz", "float"),
-        tx_power_dbm=link.take("tx_power_dbm", "float"),
-        tx_antenna=antenna,
-        rx_gain_dbi=link.take("rx_gain_dbi", "float", 0.0),
-        noise_figure_db=link.take("noise_figure_db", "float", 0.0),
-        temperature_k=link.take("temperature_k", "float", 290.0),
-        label=label,
-    )
-    link.finish()
-
-    tissue = _parse_tissue(top.take_node("tissue"))
-    quadrature = _parse_quadrature(top.take_node("quadrature"))
-    limits = _parse_limits(top.take_node("limits"))
-    sweep_grid = _parse_sweep(top.take_node("sweep"))
-    top.finish()
+    scenario = _record(LinkScenario, "link", link,
+                       tx_antenna=_record(AntennaConfig, "antenna", antenna), label=label)
+    tissue = _parse_tissue(top.pop("tissue", None))
+    quadrature = _record(QuadratureSpec, "quadrature", top.pop("quadrature", None))
+    limits = _parse_limits(top.pop("limits", None))
+    sweep = top.pop("sweep", None)
+    sweep_grid = None if sweep is None else _record(SweepGrid, "sweep", sweep)
+    _no_leftovers("", top)
     return ScenarioFile(scenario=scenario, tissue=tissue, quadrature=quadrature,
                         limits=limits, sweep_grid=sweep_grid)
 
@@ -335,72 +274,39 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
         text = source
     try:
         doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
+    except (yaml.YAMLError, ValueError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"scenario parse error{where}: {exc}") from exc
     return _parse_document(doc)
 
 
+def _dump(record, *skip: str) -> dict:
+    # field order is key order; None means "absent" and is left out
+    doc = {}
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if field.name not in skip and value is not None:
+            doc[field.name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
 def serialize_scenario(scenario_file: ScenarioFile) -> str:
     """YAML text that loads back to an identical ScenarioFile."""
     sc = scenario_file.scenario
-    ant = sc.tx_antenna
-    tissue = scenario_file.tissue
+    eps = complex(scenario_file.tissue.rel_permittivity)
     doc: dict = {}
     if sc.label:
         doc["label"] = sc.label
-    doc["link"] = {
-        "carrier_mhz": sc.carrier_mhz,
-        "bandwidth_hz": sc.bandwidth_hz,
-        "tx_power_dbm": sc.tx_power_dbm,
-        "rx_gain_dbi": sc.rx_gain_dbi,
-        "noise_figure_db": sc.noise_figure_db,
-        "temperature_k": sc.temperature_k,
-    }
-    doc["antenna"] = {
-        "model": ant.model.value,
-        "g_max_dbi": ant.g_max_dbi,
-        "n_elements": ant.n_elements,
-        "element_spacing_wavelengths": ant.element_spacing_wavelengths,
-        "theta_3db_deg": ant.theta_3db_deg,
-        "sidelobe_floor_db": ant.sidelobe_floor_db,
-        "boresight_elevation_deg": ant.boresight_elevation_deg,
-        "boresight_azimuth_deg": ant.boresight_azimuth_deg,
-        "omni_azimuth": ant.omni_azimuth,
-    }
-    eps = complex(tissue.rel_permittivity)
-    tissue_doc = {
-        "rel_permittivity_real": eps.real,
-        "rel_permittivity_imag": -eps.imag,
-        "mass_density_kg_per_m3": tissue.mass_density_kg_per_m3,
-        "penetration_depth_m": tissue.penetration_depth_m,
-    }
-    if tissue.reflection_override is not None:
-        tissue_doc["reflection_override"] = tissue.reflection_override
-    doc["tissue"] = tissue_doc
-    doc["quadrature"] = {
-        "samples_per_axis": scenario_file.quadrature.samples_per_axis,
-        "convergence_tol": scenario_file.quadrature.convergence_tol,
-    }
-    doc["limits"] = [
-        {
-            "name": limit.name,
-            "sar_limit_w_per_kg": limit.sar_limit_w_per_kg,
-            "averaging_mass_note": limit.averaging_mass_note,
-        }
-        for limit in scenario_file.limits
-    ]
-    grid = scenario_file.sweep_grid
-    if grid is not None:
-        if grid.distances_m is not None:
-            doc["sweep"] = {"distances_m": list(grid.distances_m)}
-        else:
-            doc["sweep"] = {
-                "start_m": grid.start_m,
-                "stop_m": grid.stop_m,
-                "points": grid.points,
-            }
+    doc["link"] = _dump(sc, "tx_antenna", "label")
+    doc["antenna"] = {"model": sc.tx_antenna.model.value, **_dump(sc.tx_antenna, "model")}
+    doc["tissue"] = {"rel_permittivity_real": eps.real, "rel_permittivity_imag": -eps.imag,
+                     **_dump(scenario_file.tissue, "rel_permittivity")}
+    doc["quadrature"] = _dump(scenario_file.quadrature)
+    doc["limits"] = [_dump(limit) for limit in scenario_file.limits]
+    if scenario_file.sweep_grid is not None:
+        doc["sweep"] = _dump(scenario_file.sweep_grid)
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 

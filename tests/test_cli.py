@@ -61,12 +61,20 @@ def test_safe_distance_unreachable_limit_exits_2():
      "--points", "2"),
     ("safe-distance", "--preset", "wearable-60ghz", "--limit", "ICNIRP",
      "--from", "1e-170"),
+    # P*G/(4*pi*d^2) overflows
+    ("safe-distance", "--preset", "wearable-60ghz", "--limit", "ICNIRP",
+     "--from", "1e-160"),
+    # the linear SNR overflows
+    ("sweep", "--preset", "wearable-60ghz", "--from", "1e-153", "--to", "1e-152",
+     "--points", "2"),
 ])
 def test_floating_point_failures_exit_2(argv):
     code, _, err = run_cli(*argv)
     assert code == 2
     assert len(err.decode().splitlines()) == 1
     assert b"Traceback" not in err
+    # the message names the distance it failed at
+    assert argv[argv.index("--from") + 1].encode() in err
 
 
 def test_unknown_limit_name_exits_1():

@@ -58,6 +58,13 @@ def test_power_density_rejects_bad_inputs():
             power_density(p, g, d)
 
 
+def test_power_density_overflow_names_the_distance():
+    # 1e-160 m overflows the quotient, 1e-170 m underflows d^2 to zero
+    for d in (1e-160, 1e-170):
+        with pytest.raises(OverflowError, match=repr(d)):
+            power_density(1.0, 1.0, d)
+
+
 def test_reflection_free_space_is_zero():
     assert reflection_coefficient(TissueProperties()) == 0.0
 

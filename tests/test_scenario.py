@@ -1,19 +1,27 @@
 """Scenario file grammar, presets, serialization, and result emission."""
 
+import dataclasses
 import json
 import math
+import re
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearemf import (
     CSV_FIELDS,
+    AntennaConfig,
+    ComplianceLimit,
     ExposureResult,
+    LinkScenario,
     PatternModel,
+    QuadratureSpec,
     ScenarioError,
     ScenarioFile,
     SweepGrid,
+    TissueProperties,
     emit_results,
     load_preset,
     load_scenario,
@@ -125,9 +133,12 @@ def test_defaults_fill_missing_optional_fields():
      "sweep.step"),
     (MINIMAL + "limits:\n  - name: X\n    sar_limit_w_per_kg: 1.0\n    body: arm\n",
      "limits[0].body"),
+    # keys of mixed types cannot be sorted; the first in the document is named
+    (MINIMAL + "1: 2\nb: 3\n", "1"),
+    (MINIMAL + "tissue:\n  1: 2\n  b: 3\n", "tissue.1"),
 ])
 def test_unknown_keys_are_named(snippet, named_key):
-    with pytest.raises(ScenarioError, match=named_key.replace("[", "\\[")):
+    with pytest.raises(ScenarioError, match=re.escape(f"unknown key '{named_key}'")):
         load_scenario(snippet)
 
 
@@ -147,6 +158,9 @@ def test_wrong_value_types_are_rejected():
         load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: true"))
     with pytest.raises(ScenarioError, match="omni_azimuth"):
         load_scenario(MINIMAL + "  omni_azimuth: 3\n")
+    # an integer beyond the double range
+    with pytest.raises(ScenarioError, match="antenna.g_max_dbi"):
+        load_scenario(MINIMAL.replace("g_max_dbi: 3.0", "g_max_dbi: 1" + "0" * 400))
 
 
 def test_unsigned_exponent_gets_a_usable_hint():
@@ -174,6 +188,14 @@ def test_invariant_violations_carry_the_section_name():
 def test_parse_errors_carry_a_line_number():
     with pytest.raises(ScenarioError, match="line"):
         load_scenario("link: [unclosed\nantenna: {\n")
+
+
+@pytest.mark.parametrize("bad", ["2020-13-45", "!!int x", "1" + "0" * 5000],
+                         ids=["bad-date", "bad-int-tag", "int-beyond-str-limit"])
+def test_unconstructible_scalars_are_parse_errors(bad):
+    # PyYAML resolves these scalars but raises ValueError building them
+    with pytest.raises(ScenarioError, match="parse error"):
+        load_scenario(MINIMAL + f"label: {bad}\n")
 
 
 def test_negative_permittivity_loss_is_rejected():
@@ -217,6 +239,54 @@ def test_sweep_grid_resolution_endpoints():
     assert distances[0] == 0.001
     assert distances[-1] == 0.05
     assert all(b > a for a, b in zip(distances, distances[1:]))
+
+
+_RECORDS = (LinkScenario, AntennaConfig, TissueProperties, QuadratureSpec,
+            ComplianceLimit, SweepGrid)
+_SCHEMA_KEYS = sorted(
+    {"label", "link", "antenna", "tissue", "quadrature", "limits", "sweep",
+     "rel_permittivity_real", "rel_permittivity_imag"}
+    | {field.name for record in _RECORDS for field in dataclasses.fields(record)})
+_keys = st.one_of(st.sampled_from(_SCHEMA_KEYS), st.text(max_size=6),
+                  st.integers(), st.none())
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    # the second range reaches integers no double can hold
+    st.integers(), st.integers(min_value=-10**400, max_value=10**400),
+    st.floats(), st.text(max_size=8), st.sampled_from([m.value for m in PatternModel]))
+_values = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=12)
+
+
+_PRESET_TEXTS = [serialize_scenario(load_preset(name)) for name in preset_names()]
+
+
+@st.composite
+def _documents(draw):
+    # a preset with a few keys dropped or replaced, so that some documents load
+    doc = yaml.safe_load(draw(st.sampled_from(_PRESET_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        section = doc[draw(st.sampled_from(list(doc)))]
+        target = section if isinstance(section, dict) and draw(st.booleans()) else doc
+        key = draw(st.one_of(st.sampled_from(list(target)), _keys) if target else _keys)
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_values)
+    return doc
+
+
+@given(doc=st.one_of(_documents(), st.dictionaries(_keys, _values, max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_loader_returns_a_scenario_or_raises_scenario_error(doc):
+    text = yaml.safe_dump(doc)
+    try:
+        loaded = load_scenario(text)
+    except ScenarioError:
+        return
+    assert isinstance(loaded, ScenarioFile)
+    assert load_scenario(serialize_scenario(loaded)) == loaded
 
 
 def _rows():

@@ -41,10 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--to", dest="stop_m", type=float, metavar="METERS",
                            help="sweep stop distance")
     sweep_cmd.add_argument("--points", type=int, help="number of sweep points")
-    sweep_cmd.add_argument("--quadrature-samples", dest="quadrature_samples", type=int,
-                           metavar="N", help="override samples per quadrature axis")
     sweep_cmd.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    sweep_cmd.add_argument("--output", default="stdout", metavar="PATH|stdout")
     sweep_cmd.set_defaults(func=_run_sweep)
 
     safe_cmd = sub.add_parser(
@@ -52,13 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(safe_cmd)
     safe_cmd.add_argument("--limit", required=True,
                           help="limit name (e.g. ICNIRP, FCC) or a SAR value in W/kg")
-    safe_cmd.add_argument("--from", dest="start_m", type=float, metavar="METERS",
-                          help="search bracket lower end (default 0.001)")
-    safe_cmd.add_argument("--to", dest="stop_m", type=float, metavar="METERS",
-                          help="search bracket upper end (default 1.0)")
-    safe_cmd.add_argument("--quadrature-samples", dest="quadrature_samples", type=int,
-                          metavar="N", help="override samples per quadrature axis")
-    safe_cmd.add_argument("--output", default="stdout", metavar="PATH|stdout")
+    safe_cmd.add_argument("--from", dest="d_lo_m", type=float, metavar="METERS",
+                          default=DistanceSearch.d_lo_m,
+                          help="search bracket lower end (default %(default)s)")
+    safe_cmd.add_argument("--to", dest="d_hi_m", type=float, metavar="METERS",
+                          default=DistanceSearch.d_hi_m,
+                          help="search bracket upper end (default %(default)s)")
     safe_cmd.set_defaults(func=_run_safe_distance)
 
     presets_cmd = sub.add_parser("presets", help="list built-in scenario presets")
@@ -70,6 +66,9 @@ def _add_scenario_options(cmd: argparse.ArgumentParser) -> None:
     group = cmd.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", metavar="PATH", help="scenario file to load")
     group.add_argument("--preset", metavar="NAME", help="built-in preset to load")
+    cmd.add_argument("--quadrature-samples", dest="quadrature_samples", type=int,
+                     metavar="N", help="override samples per quadrature axis")
+    cmd.add_argument("--output", default="stdout", metavar="PATH|stdout")
 
 
 def _load(args: argparse.Namespace) -> ScenarioFile:
@@ -119,7 +118,7 @@ def _resolve_limit(spec: str, loaded: ScenarioFile) -> ComplianceLimit:
         if spec in by_name:
             return by_name[spec]
         known = ", ".join(sorted(by_name))
-        raise ScenarioError(f"unknown limit '{spec}' (known: {known}, "
+        raise ScenarioError(f"unknown limit {spec!r} (known: {known}, "
                             "or pass a SAR value in W/kg)") from None
     return ComplianceLimit(f"custom-{spec}", value, "user supplied")
 
@@ -127,14 +126,8 @@ def _resolve_limit(spec: str, loaded: ScenarioFile) -> ComplianceLimit:
 def _run_safe_distance(args: argparse.Namespace) -> int:
     loaded = _load(args)
     limit = _resolve_limit(args.limit, loaded)
-    defaults = DistanceSearch()
-    search = DistanceSearch(
-        d_lo_m=args.start_m if args.start_m is not None else defaults.d_lo_m,
-        d_hi_m=args.stop_m if args.stop_m is not None else defaults.d_hi_m,
-        tol_m=defaults.tol_m,
-    )
-    result = min_safe_distance(loaded.scenario, loaded.tissue, limit, search,
-                               loaded.quadrature)
+    result = min_safe_distance(loaded.scenario, loaded.tissue, limit,
+                               DistanceSearch(args.d_lo_m, args.d_hi_m), loaded.quadrature)
     line = result if isinstance(result, str) else f"{result:.8e}"
     _write(args.output, (line + "\n").encode("ascii"))
     return 0

@@ -103,13 +103,15 @@ def min_safe_distance(
     threshold = limit.sar_limit_w_per_kg
     lo = search.d_lo_m
     hi = search.d_hi_m
-    sar_lo = sar_avg(scenario, tissue, lo, quadrature)
-    if sar_lo <= threshold:
-        return COMPLIANT_EVERYWHERE
+    # the far end first: an unreachable limit outranks a near end too
+    # close to evaluate
     if sar_avg(scenario, tissue, hi, quadrature) > threshold:
         raise LimitUnreachableError(
             f"averaged SAR still exceeds {threshold} W/kg ({limit.name}) "
             f"at the far end of the search range, {hi} m")
+    sar_lo = sar_avg(scenario, tissue, lo, quadrature)
+    if sar_lo <= threshold:
+        return COMPLIANT_EVERYWHERE
     d = lo * math.sqrt(sar_lo / threshold)
     if math.isinf(d):
         raise OverflowError(
@@ -160,18 +162,24 @@ def sweep(
         loss = fspl_db(d, scenario.carrier_mhz)
         snr = budget_dbm - loss - noise_dbm
         pd_boresight = power_density(tx_power_w, boresight_gain, d)
+        pd_mean = power_density(tx_power_w, mean_gain, d)
         try:
             rate = shannon_rate_bps(scenario.bandwidth_hz, snr)
         except OverflowError as exc:
             raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
                                 "for the Shannon rate") from exc
+        try:
+            sar_boresight = sar_boundary(pd_boresight, tissue)
+            sar_mean = sar_boundary(pd_mean, tissue)
+        except OverflowError as exc:
+            raise OverflowError(f"{exc} at distance {d!r} m") from None
         rows.append(ExposureResult(
             distance_m=d,
             path_loss_db=loss,
             snr_db=snr,
             rate_bps=rate,
             boresight_pd_w_per_m2=pd_boresight,
-            boresight_sar_w_per_kg=sar_boundary(pd_boresight, tissue),
-            avg_sar_w_per_kg=sar_boundary(power_density(tx_power_w, mean_gain, d), tissue),
+            boresight_sar_w_per_kg=sar_boresight,
+            avg_sar_w_per_kg=sar_mean,
         ))
     return rows

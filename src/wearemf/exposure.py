@@ -83,10 +83,15 @@ class TissueProperties:
             raise ValueError("mass_density_kg_per_m3 must be > 0")
         if not (math.isfinite(self.penetration_depth_m) and self.penetration_depth_m > 0.0):
             raise ValueError("penetration_depth_m must be > 0")
-        if self.reflection_override is not None:
-            if not (math.isfinite(self.reflection_override)
-                    and 0.0 <= self.reflection_override < 1.0):
-                raise ValueError("reflection_override must lie in [0, 1)")
+        if not 0.0 < self.penetration_depth_m * self.mass_density_kg_per_m3 < math.inf:
+            raise ValueError("penetration_depth_m * mass_density_kg_per_m3 must be a "
+                             "positive, finite double")
+        if self.reflection_override is None:
+            if eps.real <= 0.0:
+                raise ValueError("rel_permittivity must have a positive real part")
+        elif not (math.isfinite(self.reflection_override)
+                  and 0.0 <= self.reflection_override < 1.0):
+            raise ValueError("reflection_override must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,7 @@ def reflection_coefficient(tissue: TissueProperties) -> float:
     """
     if tissue.reflection_override is not None:
         return tissue.reflection_override
-    eps = complex(tissue.rel_permittivity)
-    if eps.real <= 0.0:
-        raise ValueError("rel_permittivity must have a positive real part")
-    root = cmath.sqrt(eps)
+    root = cmath.sqrt(complex(tissue.rel_permittivity))
     return abs((root - 1.0) / (root + 1.0))
 
 
@@ -153,14 +155,19 @@ def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
 
     The transmitted fraction (1 - gamma^2) of the incident power is
     taken as deposited across one penetration depth of tissue:
-    2 * PD * (1 - gamma^2) / (depth * density).
+    2 * PD * (1 - gamma^2) / (depth * density).  Raises OverflowError
+    when the result is too large for a double.
     """
     if not (math.isfinite(pd_w_per_m2) and pd_w_per_m2 >= 0.0):
         raise ValueError("pd_w_per_m2 must be >= 0")
     gamma = reflection_coefficient(tissue)
     transmitted = 1.0 - gamma * gamma
-    return 2.0 * pd_w_per_m2 * transmitted / (
+    sar = 2.0 * pd_w_per_m2 * transmitted / (
         tissue.penetration_depth_m * tissue.mass_density_kg_per_m3)
+    if sar == math.inf:
+        raise OverflowError(
+            f"boundary SAR overflows at power density {pd_w_per_m2!r} W/m^2")
+    return sar
 
 
 @lru_cache(maxsize=64)
@@ -209,4 +216,7 @@ def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
         raise ValueError("distance_m must be > 0")
     mean_gain = _mean_gain(scenario.tx_antenna, quadrature)
     pd_mean = power_density(dbm_to_watts(scenario.tx_power_dbm), mean_gain, distance_m)
-    return sar_boundary(pd_mean, tissue)
+    try:
+        return sar_boundary(pd_mean, tissue)
+    except OverflowError as exc:
+        raise OverflowError(f"{exc} at distance {distance_m!r} m") from None

@@ -1,12 +1,26 @@
 """Command-line behavior: subcommands, flags, exit codes, output files."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wearemf import CSV_FIELDS
+from wearemf import (
+    BUILTIN_LIMITS,
+    CSV_FIELDS,
+    DistanceSearch,
+    cli,
+    load_preset,
+    min_safe_distance,
+    preset_names,
+    serialize_scenario,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -75,6 +89,47 @@ def test_floating_point_failures_exit_2(argv):
     assert b"Traceback" not in err
     # the message names the distance it failed at
     assert argv[argv.index("--from") + 1].encode() in err
+
+
+def write_scenario(path, **tissue):
+    """The 60 GHz preset with some tissue keys replaced, written to path."""
+    doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
+    doc["tissue"].update(tissue)
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("sweep", "--from", "1e-151", "--to", "1e-150", "--points", "2"), b"1e-151 m"),
+    (("sweep", "--from", "1e-151", "--to", "1e-150", "--points", "2", "--format", "json"),
+     b"1e-151 m"),
+    # FCC is out of reach even at 1 m, and the solver says so first
+    (("safe-distance", "--limit", "FCC", "--from", "1e-151"), b"1.0 m"),
+    (("safe-distance", "--limit", "1e12", "--from", "1e-151"), b"1e-151 m"),
+])
+def test_boundary_sar_overflow_exits_2(tmp_path, argv, named):
+    # the power density stays finite; dividing by 1e-12 kg/m^2 does not
+    scenario = write_scenario(tmp_path / "thin.yaml", mass_density_kg_per_m3=1.0e-6,
+                              penetration_depth_m=1.0e-6)
+    code, out, err = run_cli(*argv, "--scenario", str(scenario))
+    assert code == 2
+    assert out == b""
+    assert len(err.decode().splitlines()) == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("flag, bracket", [
+    (("--to", "0.5"), dict(d_hi_m=0.5)),
+    (("--from", "0.002"), dict(d_lo_m=0.002)),
+])
+def test_safe_distance_fills_the_other_bracket_end(flag, bracket):
+    code, out, _ = run_cli("safe-distance", "--preset", "wearable-60ghz",
+                           "--limit", "FCC", *flag)
+    assert code == 0
+    loaded = load_preset("wearable-60ghz")
+    d = min_safe_distance(loaded.scenario, loaded.tissue, BUILTIN_LIMITS["FCC"],
+                          DistanceSearch(**bracket), loaded.quadrature)
+    assert out.decode() == f"{d:.8e}\n"
 
 
 def test_unknown_limit_name_exits_1():
@@ -183,3 +238,68 @@ def test_quadrature_samples_override_is_accepted():
     coarse = float(out.decode())
     default = float(default_out.decode())
     assert coarse == pytest.approx(default, rel=1e-2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("cli-fuzz")
+    write_scenario(directory / "thin.yaml", mass_density_kg_per_m3=1.0e-6,
+                   penetration_depth_m=1.0e-6)
+    write_scenario(directory / "underflow.yaml", mass_density_kg_per_m3=1.0e-200,
+                   penetration_depth_m=1.0e-200)
+    return directory
+
+
+distances = st.one_of(
+    st.sampled_from([-1.0, 0.0, -0.0, 5e-324, 2.2e-308, 1e-160, 1e-151, 1e-150,
+                     1e-3, 0.5, 1.0, 1e308, float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(command=st.sampled_from(["sweep", "safe-distance", "presets"]),
+       source=st.sampled_from([("--preset", name) for name in preset_names()]
+                              + [("--scenario", "thin.yaml"),
+                                 ("--scenario", "underflow.yaml")]),
+       start=st.none() | distances, stop=st.none() | distances,
+       points=st.none() | st.integers(1, 50),
+       limit=st.sampled_from([*BUILTIN_LIMITS, "2.0", "1e-300", "0", "-1", "nan", "inf"])
+       | st.text(max_size=8),
+       fmt=st.none() | st.sampled_from(["csv", "json"]),
+       samples=st.none() | st.integers(2, 400),
+       to_file=st.booleans())
+@example(command="sweep", source=("--scenario", "thin.yaml"), start=1e-151, stop=1e-150,
+         points=2, limit="FCC", fmt="csv", samples=None, to_file=False)
+@settings(max_examples=150, deadline=None)
+def test_cli_exits_0_1_or_2_with_one_error_line(fuzz_dir, command, source, start, stop,
+                                               points, limit, fmt, samples, to_file):
+    argv = [command]
+    if command != "presets":
+        flag, value = source
+        argv += [flag, str(fuzz_dir / value) if flag == "--scenario" else value]
+        # the "--flag=value" form keeps values that start with "-" whole
+        argv += [f"--from={start!r}"] if start is not None else []
+        argv += [f"--to={stop!r}"] if stop is not None else []
+        if samples is not None:
+            argv.append(f"--quadrature-samples={samples}")
+        if to_file:
+            argv.append(f"--output={fuzz_dir / 'out'}")
+    if command == "sweep":
+        argv += [f"--points={points}"] if points is not None else []
+        argv += [f"--format={fmt}"] if fmt is not None else []
+    if command == "safe-distance":
+        argv.append(f"--limit={limit}")
+
+    (fuzz_dir / "out").unlink(missing_ok=True)
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+
+    assert code in (0, 1, 2)
+    errors = stderr.getvalue().splitlines()
+    if code != 0:
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    if code == 0 and command == "sweep":
+        written = (fuzz_dir / "out").read_bytes() if to_file else stdout.buffer.getvalue()
+        assert b"inf" not in written.lower() and b"nan" not in written.lower()

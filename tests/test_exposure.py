@@ -99,6 +99,14 @@ def test_sar_boundary_unit_substitution_is_exact():
     assert sar_boundary(1.0, tissue) == 2.0
 
 
+def test_sar_boundary_overflow_raises():
+    # 2 * PD * (1 - gamma^2) / (depth * density) exceeds the double range
+    tissue = TissueProperties(mass_density_kg_per_m3=1e-6, penetration_depth_m=1e-6,
+                              reflection_override=0.7)
+    with pytest.raises(OverflowError, match="1e[+]300"):
+        sar_boundary(1e300, tissue)
+
+
 def test_sar_boundary_reference_value():
     tissue = TissueProperties(reflection_override=0.6)
     assert sar_boundary(85.6, tissue) == pytest.approx(109.568, rel=1e-12)
@@ -198,6 +206,10 @@ def test_quadrature_spec_validation(kwargs):
     dict(reflection_override=-0.1),
     dict(reflection_override=1.0),
     dict(rel_permittivity=complex(math.nan, 0.0)),
+    # the product underflows to zero, so sar_boundary would divide by it
+    dict(penetration_depth_m=1e-200, mass_density_kg_per_m3=1e-200),
+    # Fresnel reflection needs a positive real part when nothing overrides it
+    dict(rel_permittivity=complex(0.0, -1.0)),
 ])
 def test_tissue_validation(kwargs):
     with pytest.raises(ValueError):

@@ -183,6 +183,13 @@ def test_invariant_violations_carry_the_section_name():
         load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: -1.0"))
     with pytest.raises(ScenarioError, match="tissue"):
         load_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 0.0\n")
+    # each value is valid alone; the product underflows to zero
+    with pytest.raises(ScenarioError, match="^tissue: "):
+        load_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 1.0e-200\n"
+                      "  penetration_depth_m: 1.0e-200\n")
+    # Fresnel reflection needs a positive real part when nothing overrides it
+    with pytest.raises(ScenarioError, match="^tissue: "):
+        load_scenario(MINIMAL + "tissue:\n  rel_permittivity_real: -1.0\n")
 
 
 def test_parse_errors_carry_a_line_number():

@@ -14,8 +14,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["PatternModel", "AntennaConfig", "gain_dbi"]
 
 _TWO_PI = 2.0 * math.pi
@@ -77,39 +75,43 @@ def _wrap_rad(angle_rad):
     return (angle_rad + math.pi) % _TWO_PI - math.pi
 
 
-def _attenuation_db(config: AntennaConfig, theta_rad, phi_rad) -> np.ndarray:
+def _parabolic_db(config: AntennaConfig, angle_rad, boresight_deg: float):
+    """One axis's parabolic attenuation 12*(delta/theta_3db)^2 in dB, unclipped.
+
+    ``delta`` is the wrapped offset of ``angle_rad`` from
+    ``boresight_deg``.  Works on floats and elementwise on arrays, so
+    the 1-D gain and the 2-D pattern average share every operation.
+    """
+    ratio = _wrap_rad(angle_rad - math.radians(boresight_deg)) / math.radians(
+        config.theta_3db_deg)
+    return 12.0 * (ratio * ratio)
+
+
+def _attenuation_db(config: AntennaConfig, theta_rad: float, phi_rad: float) -> float:
     """Attenuation below boresight in dB, clipped to [0, sidelobe_floor_db].
 
-    Accepts scalars or broadcastable arrays of absolute angles in
-    radians.  The result keeps the broadcast shape of the inputs that
-    the selected model actually uses, so a pattern that ignores one
-    axis returns an array constant along it.
+    Takes absolute angles in radians; a pattern that ignores an axis
+    ignores its angle.
     """
-    dtheta = _wrap_rad(np.asarray(theta_rad, dtype=float)
-                       - math.radians(config.boresight_elevation_deg))
     floor_db = config.sidelobe_floor_db
 
     if config.model is PatternModel.PARABOLIC_ENVELOPE:
-        theta_3db = math.radians(config.theta_3db_deg)
-        att = 12.0 * (dtheta / theta_3db) ** 2
+        att = _parabolic_db(config, theta_rad, config.boresight_elevation_deg)
         if not config.omni_azimuth:
-            dphi = _wrap_rad(np.asarray(phi_rad, dtype=float)
-                             - math.radians(config.boresight_azimuth_deg))
-            att = att + 12.0 * (dphi / theta_3db) ** 2
-        return np.minimum(att, floor_db)
+            att = att + _parabolic_db(config, phi_rad, config.boresight_azimuth_deg)
+        return min(att, floor_db)
 
+    dtheta = _wrap_rad(theta_rad - math.radians(config.boresight_elevation_deg))
     n = config.n_elements
-    x = math.pi * config.element_spacing_wavelengths * np.sin(dtheta)
-    num = np.sin(n * x)
-    den = np.sin(x)
-    singular = np.abs(den) < _SIN_EPS
+    x = math.pi * config.element_spacing_wavelengths * math.sin(dtheta)
+    den = math.sin(x)
     # sin(n*x)/sin(x) -> +-n wherever sin(x) vanishes (main and grating lobes)
-    ratio = np.where(singular, float(n), num / np.where(singular, 1.0, den))
-    rel_amp = np.clip(np.abs(ratio) / n, 10.0 ** (-floor_db / 20.0), 1.0)
-    return np.minimum(-20.0 * np.log10(rel_amp), floor_db)
+    ratio = float(n) if abs(den) < _SIN_EPS else math.sin(n * x) / den
+    rel_amp = min(max(abs(ratio) / n, 10.0 ** (-floor_db / 20.0)), 1.0)
+    return min(-20.0 * math.log10(rel_amp), floor_db)
 
 
-def _power_ratio(config: AntennaConfig, theta_rad, phi_rad) -> np.ndarray:
+def _power_ratio(config: AntennaConfig, theta_rad: float, phi_rad: float) -> float:
     """Linear power gain relative to boresight, in [10^(-floor/10), 1]."""
     return 10.0 ** (-_attenuation_db(config, theta_rad, phi_rad) / 10.0)
 
@@ -123,5 +125,5 @@ def gain_dbi(config: AntennaConfig, theta_deg: float, phi_deg: float = 0.0) -> f
     """
     if not (math.isfinite(theta_deg) and math.isfinite(phi_deg)):
         raise ValueError("angles must be finite")
-    att = float(_attenuation_db(config, math.radians(theta_deg), math.radians(phi_deg)))
+    att = _attenuation_db(config, math.radians(theta_deg), math.radians(phi_deg))
     return config.g_max_dbi - att

@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .antenna import AntennaConfig, _power_ratio
+from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -53,8 +51,10 @@ class QuadratureSpec:
     convergence_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        if int(self.samples_per_axis) != self.samples_per_axis or self.samples_per_axis < 2:
+        samples = self.samples_per_axis
+        if isinstance(samples, bool) or int(samples) != samples or samples < 2:
             raise ValueError("samples_per_axis must be an integer >= 2")
+        object.__setattr__(self, "samples_per_axis", int(samples))
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise ValueError("convergence_tol must be > 0")
 
@@ -170,22 +170,52 @@ def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
     return sar
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """The points of ``numpy.linspace(start, stop, num)``, computed as numpy does."""
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [i * delta + start for i in range(num)]
+    step = delta / div
+    if step == 0.0:
+        # a subnormal span: numpy scales by the span after dividing
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 @lru_cache(maxsize=64)
 def _mean_power_ratio(antenna: AntennaConfig, samples: int) -> float:
     """Trapezoid average of the relative power pattern over [0, 2*pi]^2.
 
     Endpoint weights are halved per axis; with uniform spacing the
-    weighted mean equals the normalized double integral.  The
-    summation order is fixed, so repeated calls are bit-identical.
+    weighted mean equals the normalized double integral.  The azimuth
+    weights sum to the panel count exactly, so a pattern that ignores
+    azimuth is averaged over elevation alone, with an exactly rounded
+    sum.  The summation order is fixed, so repeated calls are
+    bit-identical.
     """
-    grid = np.linspace(0.0, _TWO_PI, samples)
-    ratio = _power_ratio(antenna, grid[:, None], grid[None, :])
-    # patterns that ignore an axis come back collapsed along it
-    ratio = np.broadcast_to(ratio, (samples, samples))
+    grid = _linspace(0.0, _TWO_PI, samples)
+    panels = samples - 1
+    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
+        ratios = [_power_ratio(antenna, theta, 0.0) for theta in grid]
+        ratios[0] *= 0.5
+        ratios[-1] *= 0.5
+        return math.fsum(ratios) / panels
+    # only a pattern that varies with azimuth needs the 2-D grid, and numpy
+    import numpy as np
+
+    axis = np.array(grid)
+    elevation = _parabolic_db(antenna, axis, antenna.boresight_elevation_deg)
+    azimuth = _parabolic_db(antenna, axis, antenna.boresight_azimuth_deg)
+    # one expression, so that no samples x samples temporary outlives its use
+    ratio = 10.0 ** (-np.minimum(elevation[:, None] + azimuth[None, :],
+                                 antenna.sidelobe_floor_db) / 10.0)
     weights = np.ones(samples)
     weights[0] = weights[-1] = 0.5
     total = float(np.sum(ratio * (weights[:, None] * weights[None, :])))
-    panels = samples - 1
     return total / (panels * panels)
 
 

@@ -18,12 +18,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
 import yaml
 
 from .antenna import AntennaConfig, PatternModel
 from .compliance import BUILTIN_LIMITS, ComplianceLimit
-from .exposure import ExposureResult, QuadratureSpec, TissueProperties
+from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
 
 __all__ = [
@@ -82,14 +81,15 @@ class SweepGrid:
             raise ValueError("start_m must be > 0")
         if not (math.isfinite(self.stop_m) and self.stop_m > self.start_m):
             raise ValueError("stop_m must exceed start_m")
-        if int(self.points) != self.points or self.points < 1:
+        if isinstance(self.points, bool) or int(self.points) != self.points or self.points < 1:
             raise ValueError("points must be an integer >= 1")
+        object.__setattr__(self, "points", int(self.points))
 
     def resolve(self) -> tuple[float, ...]:
         """Concrete strictly increasing distance list in meters."""
         if self.distances_m is not None:
             return self.distances_m
-        return tuple(float(d) for d in np.linspace(self.start_m, self.stop_m, self.points))
+        return tuple(_linspace(float(self.start_m), float(self.stop_m), self.points))
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,12 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
     if isinstance(source, os.PathLike):
         text = Path(source).read_text(encoding="utf-8")
     elif isinstance(source, str) and "\n" not in source:
-        text = Path(source).read_text(encoding="utf-8")
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ScenarioError(
+                f"no scenario file {source!r}: a string without a newline is read "
+                "as a path, and no such file exists") from None
     else:
         text = source
     try:

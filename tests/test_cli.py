@@ -303,3 +303,55 @@ def test_cli_exits_0_1_or_2_with_one_error_line(fuzz_dir, command, source, start
     if code == 0 and command == "sweep":
         written = (fuzz_dir / "out").read_bytes() if to_file else stdout.buffer.getvalue()
         assert b"inf" not in written.lower() and b"nan" not in written.lower()
+
+
+# Run in a fresh interpreter, since this test process imports numpy itself.
+NUMPY_FREE_CALLS = """
+import json, sys
+import wearemf
+from wearemf import cli
+
+out = sys.argv[1]
+calls = [["presets"]]
+for preset in wearemf.preset_names():
+    calls += [["sweep", "--preset", preset, "--output", out],
+              ["sweep", "--preset", preset, "--format", "json", "--output", out],
+              ["safe-distance", "--preset", preset, "--limit", "ICNIRP", "--output", out],
+              ["safe-distance", "--preset", preset, "--limit", "FCC", "--output", out]]
+codes = [cli.main(argv) for argv in calls]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+AZIMUTH_DEPENDENT_MEAN = """
+import json, sys
+from wearemf import AntennaConfig, PatternModel
+from wearemf.exposure import _mean_power_ratio
+
+pencil = AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=11.9)
+before = "numpy" in sys.modules
+print(json.dumps({"mean": _mean_power_ratio(pencil, 361), "before": before,
+                  "after": "numpy" in sys.modules}))
+"""
+
+
+def run_python(code, *args):
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout.decode().splitlines()[-1])
+
+
+def test_cli_on_the_presets_never_imports_numpy(tmp_path):
+    result = run_python(NUMPY_FREE_CALLS, str(tmp_path / "out"))
+    assert result["codes"] == [0] * len(result["codes"])
+    assert result["numpy"] is False
+
+
+def test_an_azimuth_dependent_pattern_still_averages_in_2d():
+    from wearemf import AntennaConfig, PatternModel
+    from wearemf.exposure import _mean_power_ratio
+
+    result = run_python(AZIMUTH_DEPENDENT_MEAN)
+    assert (result["before"], result["after"]) == (False, True)
+    pencil = AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=11.9)
+    assert result["mean"] == _mean_power_ratio(pencil, 361)
+    assert 10.0 ** (-pencil.sidelobe_floor_db / 10.0) < result["mean"] < 1.0

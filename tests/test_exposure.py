@@ -1,6 +1,7 @@
 """Power density, reflection, boundary SAR, and the angle-averaged SAR."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wearemf import (
     sar_avg,
     sar_boundary,
 )
+from wearemf.exposure import _linspace, _mean_power_ratio
 
 ULA16 = AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=11.9,
                       n_elements=16)
@@ -194,10 +196,103 @@ def test_sar_avg_rejects_bad_distance():
     dict(samples_per_axis=0),
     dict(convergence_tol=0.0),
     dict(convergence_tol=-1e-3),
+    dict(samples_per_axis=360.5),
+    dict(samples_per_axis=True),
 ])
 def test_quadrature_spec_validation(kwargs):
     with pytest.raises(ValueError):
         QuadratureSpec(**kwargs)
+
+
+def test_quadrature_spec_stores_an_integral_float_as_int():
+    spec = QuadratureSpec(samples_per_axis=361.0)
+    assert type(spec.samples_per_axis) is int
+    assert spec == QuadratureSpec(samples_per_axis=361)
+    scenario = _scenario(ULA16)
+    assert sar_avg(scenario, SKIN, 0.01, spec) == sar_avg(scenario, SKIN, 0.01)
+
+
+# The 2-D numpy quadrature that the elevation-only average replaced; it
+# stays here as the reference both averages are checked against.
+def _reference_attenuation_db(config, theta_rad, phi_rad):
+    def wrap(angle_rad):
+        return (angle_rad + math.pi) % (2.0 * math.pi) - math.pi
+
+    dtheta = wrap(np.asarray(theta_rad, dtype=float)
+                  - math.radians(config.boresight_elevation_deg))
+    floor_db = config.sidelobe_floor_db
+    if config.model is PatternModel.PARABOLIC_ENVELOPE:
+        theta_3db = math.radians(config.theta_3db_deg)
+        att = 12.0 * (dtheta / theta_3db) ** 2
+        if not config.omni_azimuth:
+            dphi = wrap(np.asarray(phi_rad, dtype=float)
+                        - math.radians(config.boresight_azimuth_deg))
+            att = att + 12.0 * (dphi / theta_3db) ** 2
+        return np.minimum(att, floor_db)
+    n = config.n_elements
+    x = math.pi * config.element_spacing_wavelengths * np.sin(dtheta)
+    num = np.sin(n * x)
+    den = np.sin(x)
+    singular = np.abs(den) < 1e-12
+    ratio = np.where(singular, float(n), num / np.where(singular, 1.0, den))
+    rel_amp = np.clip(np.abs(ratio) / n, 10.0 ** (-floor_db / 20.0), 1.0)
+    return np.minimum(-20.0 * np.log10(rel_amp), floor_db)
+
+
+def _reference_mean_power_ratio(antenna, samples):
+    grid = np.linspace(0.0, 2.0 * math.pi, samples)
+    att = _reference_attenuation_db(antenna, grid[:, None], grid[None, :])
+    ratio = np.broadcast_to(10.0 ** (-att / 10.0), (samples, samples))
+    weights = np.ones(samples)
+    weights[0] = weights[-1] = 0.5
+    total = float(np.sum(ratio * (weights[:, None] * weights[None, :])))
+    panels = samples - 1
+    return total / (panels * panels)
+
+
+def _design(rng, kind):
+    elevation = rng.uniform(-90.0, 90.0)
+    if kind == "array":
+        return AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=12.0,
+                             n_elements=rng.randint(1, 32),
+                             element_spacing_wavelengths=rng.uniform(0.1, 1.2),
+                             sidelobe_floor_db=rng.uniform(10.0, 40.0),
+                             boresight_elevation_deg=elevation)
+    return AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+                         theta_3db_deg=rng.uniform(5.0, 180.0),
+                         sidelobe_floor_db=rng.uniform(10.0, 40.0),
+                         boresight_elevation_deg=elevation,
+                         boresight_azimuth_deg=rng.uniform(-90.0, 90.0),
+                         omni_azimuth=kind == "omni")
+
+
+@pytest.mark.parametrize("samples", [361, 721, 1441])
+@pytest.mark.parametrize("kind", ["array", "omni", "2d"])
+def test_mean_power_ratio_matches_the_2d_reference(kind, samples):
+    rng = random.Random(f"{kind}-{samples}")
+    for _ in range(6):
+        antenna = _design(rng, kind)
+        got = _mean_power_ratio(antenna, samples)
+        want = _reference_mean_power_ratio(antenna, samples)
+        if kind == "2d":
+            assert got == want, antenna
+        else:
+            # the elevation-only fsum rounds differently from the 2-D sum;
+            # 8 ulps is the bound fixed before the 1-D average was written
+            assert abs(got - want) <= 8 * math.ulp(want), antenna
+
+
+def test_linspace_matches_numpy():
+    rng = random.Random(5)
+    cases = [(0.0, 2.0 * math.pi, 361), (0.001, 0.05, 1), (0.001, 0.05, 2),
+             (-3.0, 7.0, 2), (5e-324, 1e-323, 3)]
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        start, stop = sorted(rng.uniform(-scale, scale) for _ in range(2))
+        cases.append((start, stop, rng.randint(1, 3000)))
+    for start, stop, num in cases:
+        assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist(), \
+            (start, stop, num)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -98,6 +98,11 @@ def test_load_from_text_and_from_path(tmp_path):
     assert load_scenario(str(path)) == from_text
 
 
+def test_one_line_yaml_is_read_as_a_missing_path():
+    with pytest.raises(ScenarioError, match="without a newline is read as a path"):
+        load_scenario("label: x")
+
+
 def test_defaults_fill_missing_optional_fields():
     loaded = load_scenario(MINIMAL)
     sc = loaded.scenario
@@ -237,6 +242,9 @@ def test_sweep_grid_forms_are_exclusive():
         SweepGrid(distances_m=(0.002, 0.001))
     with pytest.raises(ValueError):
         SweepGrid(start_m=0.01, stop_m=0.001, points=5)
+    for points in (True, 4.5, 0):
+        with pytest.raises(ValueError):
+            SweepGrid(start_m=0.001, stop_m=0.01, points=points)
 
 
 def test_sweep_grid_resolution_endpoints():
@@ -246,6 +254,12 @@ def test_sweep_grid_resolution_endpoints():
     assert distances[0] == 0.001
     assert distances[-1] == 0.05
     assert all(b > a for a, b in zip(distances, distances[1:]))
+
+
+def test_sweep_grid_stores_integral_float_points_as_int():
+    grid = SweepGrid(start_m=0.001, stop_m=0.05, points=50.0)
+    assert type(grid.points) is int
+    assert grid.resolve() == SweepGrid(start_m=0.001, stop_m=0.05, points=50).resolve()
 
 
 _RECORDS = (LinkScenario, AntennaConfig, TissueProperties, QuadratureSpec,

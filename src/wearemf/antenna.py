@@ -55,8 +55,7 @@ class AntennaConfig:
             raise ValueError(f"model must be a PatternModel member, got {self.model!r}")
         if not math.isfinite(self.g_max_dbi):
             raise ValueError("g_max_dbi must be finite")
-        if int(self.n_elements) != self.n_elements or self.n_elements < 1:
-            raise ValueError("n_elements must be an integer >= 1")
+        object.__setattr__(self, "n_elements", _whole_number(self.n_elements, "n_elements", 1))
         if not (math.isfinite(self.element_spacing_wavelengths)
                 and self.element_spacing_wavelengths >= 0.0):
             raise ValueError("element_spacing_wavelengths must be >= 0")
@@ -68,6 +67,24 @@ class AntennaConfig:
             raise ValueError("boresight_elevation_deg must be finite")
         if not math.isfinite(self.boresight_azimuth_deg):
             raise ValueError("boresight_azimuth_deg must be finite")
+
+
+def _whole_number(value, name: str, minimum: int) -> int:
+    """``value`` as an int, if it is a whole number >= ``minimum`` and not a bool.
+
+    An integral float such as 4.0 is accepted and returned as 4; inf
+    and nan raise the same ValueError as any other bad count.
+    """
+    message = f"{name} must be an integer >= {minimum}"
+    if isinstance(value, bool):
+        raise ValueError(message)
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(message) from None
+    if whole != value or whole < minimum:
+        raise ValueError(message)
+    return whole
 
 
 def _wrap_rad(angle_rad):

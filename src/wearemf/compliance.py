@@ -8,15 +8,17 @@ from typing import Sequence, Union
 
 from .antenna import gain_dbi
 from .exposure import (
+    _FOUR_PI,
     ExposureResult,
     QuadratureSpec,
     TissueProperties,
     _mean_gain,
     power_density,
+    reflection_coefficient,
     sar_avg,
     sar_boundary,
 )
-from .link import (LinkScenario, db_to_linear, dbm_to_watts, fspl_db, noise_power_dbm,
+from .link import (_LN2, LinkScenario, db_to_linear, dbm_to_watts, fspl_db, noise_power_dbm,
                    shannon_rate_bps)
 
 __all__ = [
@@ -139,6 +141,13 @@ def sweep(
     sequence yields an empty list.  Row order matches input order.
     Rows equal fspl_db, snr_db, shannon_rate_bps, power_density,
     sar_boundary and sar_avg at their distance, bit for bit.
+
+    Every column is monotone in the distance, so only the first row
+    can overflow, underflow or divide by zero.  That row alone runs
+    through the scalar chain's checks first, and an overflow there
+    raises OverflowError naming its distance; the rows are then plain
+    float arithmetic on per-scenario constants, in the scalar chain's
+    operation order.
     """
     previous = 0.0
     for d in distances:
@@ -157,29 +166,37 @@ def sweep(
                                 scenario.temperature_k)
     mean_gain = _mean_gain(antenna, quadrature)
 
-    rows: list[ExposureResult] = []
-    for d in distances:
-        loss = fspl_db(d, scenario.carrier_mhz)
-        snr = budget_dbm - loss - noise_dbm
+    bandwidth = scenario.bandwidth_hz
+    # the nearest row alone can overflow; check it through the scalar chain
+    for d in distances[:1]:
+        snr = budget_dbm - fspl_db(d, scenario.carrier_mhz) - noise_dbm
         pd_boresight = power_density(tx_power_w, boresight_gain, d)
         pd_mean = power_density(tx_power_w, mean_gain, d)
         try:
-            rate = shannon_rate_bps(scenario.bandwidth_hz, snr)
+            shannon_rate_bps(bandwidth, snr)
         except OverflowError as exc:
             raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
                                 "for the Shannon rate") from exc
         try:
-            sar_boresight = sar_boundary(pd_boresight, tissue)
-            sar_mean = sar_boundary(pd_mean, tissue)
+            sar_boundary(pd_boresight, tissue)
+            sar_boundary(pd_mean, tissue)
         except OverflowError as exc:
             raise OverflowError(f"{exc} at distance {d!r} m") from None
+
+    carrier_db = 20.0 * math.log10(scenario.carrier_mhz)
+    pg_boresight = tx_power_w * boresight_gain
+    pg_mean = tx_power_w * mean_gain
+    gamma = reflection_coefficient(tissue)
+    transmitted = 1.0 - gamma * gamma
+    slab = tissue.penetration_depth_m * tissue.mass_density_kg_per_m3
+    rows: list[ExposureResult] = []
+    for d in distances:
+        loss = 20.0 * math.log10(d) + carrier_db - 27.55
+        snr = budget_dbm - loss - noise_dbm
+        area = _FOUR_PI * (d * d)
+        pd_boresight = pg_boresight / area
         rows.append(ExposureResult(
-            distance_m=d,
-            path_loss_db=loss,
-            snr_db=snr,
-            rate_bps=rate,
-            boresight_pd_w_per_m2=pd_boresight,
-            boresight_sar_w_per_kg=sar_boresight,
-            avg_sar_w_per_kg=sar_mean,
-        ))
+            d, loss, snr, bandwidth * math.log1p(10.0 ** (snr / 10.0)) / _LN2, pd_boresight,
+            2.0 * pd_boresight * transmitted / slab,
+            2.0 * (pg_mean / area) * transmitted / slab))
     return rows

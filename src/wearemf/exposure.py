@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio
+from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio, _whole_number
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -51,10 +51,8 @@ class QuadratureSpec:
     convergence_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        samples = self.samples_per_axis
-        if isinstance(samples, bool) or int(samples) != samples or samples < 2:
-            raise ValueError("samples_per_axis must be an integer >= 2")
-        object.__setattr__(self, "samples_per_axis", int(samples))
+        object.__setattr__(self, "samples_per_axis",
+                           _whole_number(self.samples_per_axis, "samples_per_axis", 2))
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise ValueError("convergence_tol must be > 0")
 
@@ -109,10 +107,14 @@ class ExposureResult:
     def __post_init__(self) -> None:
         if not self.distance_m > 0.0:
             raise ValueError("distance_m must be > 0")
-        for name in ("rate_bps", "boresight_pd_w_per_m2",
-                     "boresight_sar_w_per_kg", "avg_sar_w_per_kg"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.rate_bps < 0.0:
+            raise ValueError("rate_bps must be >= 0")
+        if self.boresight_pd_w_per_m2 < 0.0:
+            raise ValueError("boresight_pd_w_per_m2 must be >= 0")
+        if self.boresight_sar_w_per_kg < 0.0:
+            raise ValueError("boresight_sar_w_per_kg must be >= 0")
+        if self.avg_sar_w_per_kg < 0.0:
+            raise ValueError("avg_sar_w_per_kg must be >= 0")
 
 
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:

@@ -10,8 +10,9 @@ invariants of the record it lands in.
 from __future__ import annotations
 
 import dataclasses
-import json
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -20,7 +21,7 @@ from typing import Sequence, Union
 
 import yaml
 
-from .antenna import AntennaConfig, PatternModel
+from .antenna import AntennaConfig, PatternModel, _whole_number
 from .compliance import BUILTIN_LIMITS, ComplianceLimit
 from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
@@ -81,9 +82,7 @@ class SweepGrid:
             raise ValueError("start_m must be > 0")
         if not (math.isfinite(self.stop_m) and self.stop_m > self.start_m):
             raise ValueError("stop_m must exceed start_m")
-        if isinstance(self.points, bool) or int(self.points) != self.points or self.points < 1:
-            raise ValueError("points must be an integer >= 1")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "points", _whole_number(self.points, "points", 1))
 
     def resolve(self) -> tuple[float, ...]:
         """Concrete strictly increasing distance list in meters."""
@@ -281,10 +280,28 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
         doc = yaml.safe_load(text)
     # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
     except (yaml.YAMLError, ValueError) as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ScenarioError(f"scenario parse error{where}: {exc}") from exc
+        raise ScenarioError(_parse_error_text(exc)) from exc
     return _parse_document(doc)
+
+
+def _at(mark) -> str:
+    return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+
+
+def _parse_error_text(exc: Exception) -> str:
+    """One line for a YAML or scalar-construction error.
+
+    PyYAML's own text quotes the source lines under every position;
+    this keeps the problem, its position, and the construct it arose in.
+    """
+    if not isinstance(exc, yaml.MarkedYAMLError):
+        # a ReaderError puts its position on a second line
+        text = " ".join(line.strip() for line in str(exc).splitlines())
+        return f"scenario parse error: {text}"
+    text = f"scenario parse error{_at(exc.problem_mark)}: {exc.problem}"
+    if exc.context is None:
+        return text
+    return f"{text} ({exc.context}{_at(exc.context_mark)})"
 
 
 def _dump(record, *skip: str) -> dict:
@@ -334,6 +351,17 @@ def load_preset(name: str) -> ScenarioFile:
     return load_scenario(candidate.read_text(encoding="utf-8"))
 
 
+_ROW_VALUES = operator.attrgetter(*(field.name for field in dataclasses.fields(ExposureResult)))
+_CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
+_CSV_LINE = ",".join(["%.8e"] * len(CSV_FIELDS)) + "\n"
+# one array element in json.dumps(..., indent=2)'s layout
+_JSON_OBJECT = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "\n  }"
+
+
+def _json_number(value) -> str:
+    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+
+
 def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     """Serialize sweep rows as CSV or JSON bytes.
 
@@ -341,18 +369,27 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     CSV_FIELDS and values in scientific notation with 9 significant
     digits; JSON is an array of objects with the same field names, and
     a non-finite value raises ValueError rather than emit invalid JSON.
-    Output is bit-identical across runs for identical inputs.
+    For float and int values (bools aside) the JSON bytes are those of
+    ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``: shortest
+    round-trip floats (``float.__repr__``, so numpy.float64 values too)
+    and ``int.__repr__`` integers.  Output is bit-identical across runs
+    for identical inputs.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-    records = [
-        (row.distance_m, row.path_loss_db, row.snr_db, row.rate_bps,
-         row.boresight_pd_w_per_m2, row.boresight_sar_w_per_kg, row.avg_sar_w_per_kg)
-        for row in rows
-    ]
+    records = list(map(_ROW_VALUES, rows))
     if fmt == "csv":
-        lines = [",".join(CSV_FIELDS)]
-        lines.extend(",".join(f"{value:.8e}" for value in record) for record in records)
-        return ("\n".join(lines) + "\n").encode("ascii")
-    payload = [dict(zip(CSV_FIELDS, record)) for record in records]
-    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("ascii")
+        return (_CSV_HEADER + "".join([_CSV_LINE % record for record in records])).encode("ascii")
+    if not records:
+        return b"[]\n"
+    values = list(itertools.chain.from_iterable(records))
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # an int among the floats
+        texts = list(map(_json_number, values))
+    # finite floats and ints never print an "n"; inf and nan do
+    if "n" in "".join(texts):
+        bad = next(value for value, text in zip(values, texts) if "n" in text)
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    template = "[\n" + ",\n".join([_JSON_OBJECT] * len(records)) + "\n]\n"
+    return (template % tuple(texts)).encode("ascii")

@@ -132,12 +132,23 @@ def test_rejects_non_finite_angles():
     dict(sidelobe_floor_db=0.0),
     dict(sidelobe_floor_db=-1.0),
     dict(boresight_elevation_deg=math.nan),
+    dict(n_elements=True),
+    dict(n_elements=2.5),
+    dict(n_elements=math.inf),
+    dict(n_elements=math.nan),
 ])
 def test_rejects_invalid_configs(kwargs):
     base = dict(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0)
     base.update(kwargs)
     with pytest.raises(ValueError):
         AntennaConfig(**base)
+
+
+def test_integral_float_element_count_is_stored_as_int():
+    config = AntennaConfig(PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0, n_elements=4.0)
+    assert type(config.n_elements) is int
+    assert config == AntennaConfig(PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0,
+                                   n_elements=4)
 
 
 def test_rejects_non_enum_model():

@@ -206,6 +206,29 @@ def test_malformed_scenario_exits_1(tmp_path):
     assert b"error" in err
 
 
+@pytest.mark.parametrize("text, where", [
+    ("link: [1, 2\n", "at line 2, column 1"),
+    ("link: {carrier_mhz: 2400.0\n", "at line 2, column 1"),
+    ('label: "unterminated\n', "at line 2, column 1"),
+    ("\tlink: {}\n", "at line 1, column 1"),
+    ("link: *undefined\n", "at line 1, column 7"),
+    # PyYAML's reader counts characters, not lines
+    ("label: \x07\n", "position 7"),
+], ids=["flow-sequence", "flow-mapping", "quote", "leading-tab", "undefined-alias",
+        "control-character"])
+def test_yaml_parse_errors_print_one_line_with_the_position(tmp_path, text, where):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    code, out, err = run_cli("sweep", "--scenario", str(bad),
+                             "--from", "0.01", "--to", "0.02", "--points", "2")
+    assert code == 1
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: scenario parse error")
+    assert where in lines[0]
+
+
 def test_scenario_and_preset_are_mutually_exclusive(tmp_path):
     code, _, _ = run_cli("sweep", "--preset", "wearable-60ghz",
                          "--scenario", "x.yaml")

@@ -1,5 +1,6 @@
 """Safe-distance solver and sweep generation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -190,13 +191,27 @@ def test_sweep_inverse_square_between_rows():
     assert rows[0].boresight_pd_w_per_m2 == 4.0 * rows[1].boresight_pd_w_per_m2
 
 
-@pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
-def test_sweep_rows_equal_the_scalar_chain(preset):
+# the presets' depth * density is exactly 1.0, so a variant with another
+# slab checks the SAR's association order too
+P60_SLAB = dataclasses.replace(P60, tissue=dataclasses.replace(
+    P60.tissue, mass_density_kg_per_m3=1090.0, penetration_depth_m=4.8e-4))
+
+
+# the wide grid reaches distances whose square overflows, so that the
+# power density underflows to 0.0
+@pytest.mark.parametrize("preset, grid", [
+    (P60, (1e-3, 10.0, 200)),
+    (P24, (1e-3, 10.0, 200)),
+    (P60, (1e-140, 1e160, 3001)),
+    (P24, (1e-140, 1e160, 3001)),
+    (P60_SLAB, (1e-3, 10.0, 200)),
+], ids=["60ghz", "2.4ghz", "60ghz-wide", "2.4ghz-wide", "60ghz-slab"])
+def test_sweep_rows_equal_the_scalar_chain(preset, grid):
     sc, tissue, quadrature = preset.scenario, preset.tissue, preset.quadrature
     antenna = sc.tx_antenna
     boresight_gain = db_to_linear(gain_dbi(antenna, antenna.boresight_elevation_deg,
                                            antenna.boresight_azimuth_deg))
-    distances = [float(d) for d in np.geomspace(1e-3, 10.0, 200)]
+    distances = [float(d) for d in np.geomspace(*grid)]
     for row, d in zip(sweep(sc, tissue, distances, quadrature), distances):
         snr = snr_db(sc, d)
         pd = power_density(dbm_to_watts(sc.tx_power_dbm), boresight_gain, d)

@@ -198,6 +198,8 @@ def test_sar_avg_rejects_bad_distance():
     dict(convergence_tol=-1e-3),
     dict(samples_per_axis=360.5),
     dict(samples_per_axis=True),
+    dict(samples_per_axis=math.inf),
+    dict(samples_per_axis=math.nan),
 ])
 def test_quadrature_spec_validation(kwargs):
     with pytest.raises(ValueError):

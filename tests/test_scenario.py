@@ -5,9 +5,10 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearemf import (
@@ -27,6 +28,7 @@ from wearemf import (
     load_scenario,
     preset_names,
     serialize_scenario,
+    sweep,
 )
 
 MINIMAL = """
@@ -242,8 +244,8 @@ def test_sweep_grid_forms_are_exclusive():
         SweepGrid(distances_m=(0.002, 0.001))
     with pytest.raises(ValueError):
         SweepGrid(start_m=0.01, stop_m=0.001, points=5)
-    for points in (True, 4.5, 0):
-        with pytest.raises(ValueError):
+    for points in (True, 4.5, 0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^points must be an integer >= 1$"):
             SweepGrid(start_m=0.001, stop_m=0.01, points=points)
 
 
@@ -388,3 +390,71 @@ def test_csv_precision_holds_for_arbitrary_rows(distance, loss, snr, rate,
     originals = [distance, loss, snr, rate, pd, sar, avg]
     for read, original in zip(values, originals):
         assert read == pytest.approx(original, rel=1e-8, abs=1e-8)
+
+
+# the emitters as they were first written, kept as the byte-level reference
+def _reference_emission(rows, fmt):
+    records = [tuple(getattr(row, field.name) for field in dataclasses.fields(row))
+               for row in rows]
+    if fmt == "csv":
+        lines = [",".join(CSV_FIELDS)]
+        lines.extend(",".join(f"{value:.8e}" for value in record) for record in records)
+        return ("\n".join(lines) + "\n").encode("ascii")
+    payload = [dict(zip(CSV_FIELDS, record)) for record in records]
+    return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("ascii")
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, 1e-5, 0.1]
+
+
+def _numbers(lowest):
+    """Floats, ints and numpy.float64 values the field's check accepts.
+
+    ``lowest`` is the smallest value allowed: 0.0 excluded for a
+    distance, -0.0 included for the non-negative fields, None for any.
+    """
+    if lowest is None:
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        edges = _EDGE_FLOATS
+        ints = st.integers(-10**20, 10**20)
+    else:
+        floats = st.floats(min_value=lowest, exclude_min=lowest == 0.0,
+                           allow_nan=False, allow_infinity=False)
+        edges = [v for v in _EDGE_FLOATS if v > 0.0 or (v == 0.0 and lowest < 0.0)]
+        ints = st.integers(1 if lowest == 0.0 else 0, 10**20)
+    return st.one_of(floats, st.sampled_from(edges), ints, floats.map(np.float64))
+
+
+_result_rows = st.builds(
+    ExposureResult, distance_m=_numbers(0.0), path_loss_db=_numbers(None),
+    snr_db=_numbers(None), rate_bps=_numbers(-0.0), boresight_pd_w_per_m2=_numbers(-0.0),
+    boresight_sar_w_per_kg=_numbers(-0.0), avg_sar_w_per_kg=_numbers(-0.0))
+
+
+_P60 = load_preset("wearable-60ghz")
+
+
+# int distances are legal, and JSON prints them as ints
+@given(rows=st.lists(_result_rows, max_size=4))
+@example(rows=sweep(_P60.scenario, _P60.tissue, [1, 2, 3], _P60.quadrature))
+@settings(max_examples=300, deadline=None)
+def test_emission_bytes_equal_the_format_and_json_dumps_reference(rows):
+    for fmt in ("csv", "json"):
+        assert emit_results(rows, fmt) == _reference_emission(rows, fmt)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("distance_m", math.inf),
+    ("path_loss_db", -math.inf),
+    ("snr_db", math.nan),
+    ("rate_bps", math.inf),
+    ("avg_sar_w_per_kg", math.nan),
+])
+def test_json_refuses_each_non_finite_value(field, value):
+    rows = [*_rows(), dataclasses.replace(_rows()[0], **{field: value})]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _reference_emission(rows, "json")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_results(rows, "json")
+    assert emit_results(rows, "csv") == _reference_emission(rows, "csv")

@@ -69,35 +69,39 @@ class AntennaConfig:
             raise ValueError("boresight_azimuth_deg must be finite")
 
 
-def _whole_number(value, name: str, minimum: int) -> int:
-    """``value`` as an int, if it is a whole number >= ``minimum`` and not a bool.
+def _whole_number(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int, if it is a whole number in [``minimum``, ``maximum``]
+    and not a bool.
 
     An integral float such as 4.0 is accepted and returned as 4; inf
     and nan raise the same ValueError as any other bad count.
     """
-    message = f"{name} must be an integer >= {minimum}"
+    if maximum is None:
+        message = f"{name} must be an integer >= {minimum}"
+    else:
+        message = f"{name} must be an integer in [{minimum}, {maximum}]"
     if isinstance(value, bool):
         raise ValueError(message)
     try:
         whole = int(value)
     except (OverflowError, ValueError):  # inf, nan
         raise ValueError(message) from None
-    if whole != value or whole < minimum:
+    if whole != value or whole < minimum or (maximum is not None and whole > maximum):
         raise ValueError(message)
     return whole
 
 
-def _wrap_rad(angle_rad):
-    # principal offset in [-pi, pi); works elementwise on arrays
+def _wrap_rad(angle_rad: float) -> float:
+    # principal offset in [-pi, pi)
     return (angle_rad + math.pi) % _TWO_PI - math.pi
 
 
-def _parabolic_db(config: AntennaConfig, angle_rad, boresight_deg: float):
+def _parabolic_db(config: AntennaConfig, angle_rad: float, boresight_deg: float) -> float:
     """One axis's parabolic attenuation 12*(delta/theta_3db)^2 in dB, unclipped.
 
     ``delta`` is the wrapped offset of ``angle_rad`` from
-    ``boresight_deg``.  Works on floats and elementwise on arrays, so
-    the 1-D gain and the 2-D pattern average share every operation.
+    ``boresight_deg``.  The gain and the pattern average share it, so
+    both see the same terms.
     """
     ratio = _wrap_rad(angle_rad - math.radians(boresight_deg)) / math.radians(
         config.theta_3db_deg)

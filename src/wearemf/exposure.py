@@ -10,6 +10,7 @@ inverse-square behavior of the result exact in floating point.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
+_MAX_SAMPLES = 2**16
 
 
 class ConvergenceError(RuntimeError):
@@ -42,7 +44,8 @@ class QuadratureSpec:
     """Grid size and self-convergence tolerance for the angular average.
 
     ``samples_per_axis`` counts points including both endpoints of
-    [0, 2*pi].  Every evaluation is checked against a doubled grid;
+    [0, 2*pi], at most 2^16 so that the work of one average stays
+    bounded.  Every evaluation is checked against a doubled grid;
     a relative shift above ``convergence_tol`` raises
     ConvergenceError instead of returning a suspect value.
     """
@@ -51,8 +54,8 @@ class QuadratureSpec:
     convergence_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples_per_axis",
-                           _whole_number(self.samples_per_axis, "samples_per_axis", 2))
+        object.__setattr__(self, "samples_per_axis", _whole_number(
+            self.samples_per_axis, "samples_per_axis", 2, _MAX_SAMPLES))
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
             raise ValueError("convergence_tol must be > 0")
 
@@ -188,48 +191,83 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-@lru_cache(maxsize=64)
-def _mean_power_ratio(antenna: AntennaConfig, samples: int) -> float:
-    """Trapezoid average of the relative power pattern over [0, 2*pi]^2.
+def _trapezoid_mean(ratios: list[float]) -> float:
+    """Trapezoid mean of samples spanning [0, 2*pi], exactly summed.
 
-    Endpoint weights are halved per axis; with uniform spacing the
-    weighted mean equals the normalized double integral.  The azimuth
-    weights sum to the panel count exactly, so a pattern that ignores
-    azimuth is averaged over elevation alone, with an exactly rounded
-    sum.  The summation order is fixed, so repeated calls are
-    bit-identical.
+    Endpoint weights are halved; with uniform spacing the weighted mean
+    equals the normalized integral.
     """
-    grid = _linspace(0.0, _TWO_PI, samples)
-    panels = samples - 1
-    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
-        ratios = [_power_ratio(antenna, theta, 0.0) for theta in grid]
-        ratios[0] *= 0.5
-        ratios[-1] *= 0.5
-        return math.fsum(ratios) / panels
-    # only a pattern that varies with azimuth needs the 2-D grid, and numpy
-    import numpy as np
+    return math.fsum([0.5 * ratios[0], *ratios[1:-1], 0.5 * ratios[-1]]) / (len(ratios) - 1)
 
-    axis = np.array(grid)
-    elevation = _parabolic_db(antenna, axis, antenna.boresight_elevation_deg)
-    azimuth = _parabolic_db(antenna, axis, antenna.boresight_azimuth_deg)
-    # one expression, so that no samples x samples temporary outlives its use
-    ratio = 10.0 ** (-np.minimum(elevation[:, None] + azimuth[None, :],
-                                 antenna.sidelobe_floor_db) / 10.0)
-    weights = np.ones(samples)
-    weights[0] = weights[-1] = 0.5
-    total = float(np.sum(ratio * (weights[:, None] * weights[None, :])))
-    return total / (panels * panels)
+
+def _running_sums(values) -> list[float]:
+    """``[0, v0, v0 + v1, ...]`` of non-negative values, Neumaier-compensated."""
+    sums = [0.0]
+    total = lost = 0.0
+    for value in values:
+        step = total + value
+        # keep the low bits that the smaller addend lost; both are >= 0, so no abs()
+        lost += (total - step) + value if total >= value else (value - step) + total
+        total = step
+        sums.append(total + lost)
+    return sums
+
+
+def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float) -> float:
+    """Trapezoid mean of 10^(-min(e_i + a_j, floor_db)/10) over [0, 2*pi]^2.
+
+    Sorted by a_j, the pairs of row i that stay above the floor are a
+    prefix, the a_j below floor_db - e_i; so one bisect into prefix sums
+    of w_j * 10^(-a_j/10) and of w_j gives the row, O(n log n) in all.
+    The rows are summed exactly.
+    """
+    last = len(azimuth) - 1
+    order = sorted(range(last + 1), key=azimuth.__getitem__)
+    ascending = [azimuth[j] for j in order]
+    weights = [0.5 if j in (0, last) else 1.0 for j in order]
+    ratio_sums = _running_sums(w * 10.0 ** (-a / 10.0) for w, a in zip(weights, ascending))
+    weight_sums = _running_sums(weights)  # halves and ones: exact
+    floor_ratio = 10.0 ** (-floor_db / 10.0)
+    rows = []
+    for i, e in enumerate(elevation):
+        k = bisect.bisect_left(ascending, floor_db - e)
+        w = 0.5 if i in (0, last) else 1.0
+        rows.append(w * 10.0 ** (-e / 10.0) * ratio_sums[k])
+        rows.append(w * floor_ratio * (weight_sums[-1] - weight_sums[k]))
+    return math.fsum(rows) / (last * last)
+
+
+@lru_cache(maxsize=64)
+def _pattern_means(antenna: AntennaConfig, samples: int) -> tuple[float, float]:
+    """Pattern means over [0, 2*pi]^2 on ``samples`` and ``2*samples - 1`` points per axis.
+
+    The pattern is evaluated once, on the finer grid, whose even-indexed
+    points are exactly the coarser grid; the coarse mean is taken from
+    that slice.  The azimuth weights sum to the panel count exactly, so
+    a pattern that ignores azimuth is averaged over elevation alone.
+    Every sum is exactly rounded or in a fixed order, so repeated calls
+    are bit-identical.
+    """
+    fine = _linspace(0.0, _TWO_PI, 2 * samples - 1)
+    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
+        ratios = [_power_ratio(antenna, theta, 0.0) for theta in fine]
+        return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)
+    elevation = [_parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
+                 for theta in fine]
+    azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in fine]
+    floor_db = antenna.sidelobe_floor_db
+    return (_clipped_mean(elevation[::2], azimuth[::2], floor_db),
+            _clipped_mean(elevation, azimuth, floor_db))
 
 
 def _mean_gain(antenna: AntennaConfig, quadrature: QuadratureSpec) -> float:
     """Linear gain averaged over both angles, validated on a doubled grid."""
     samples = quadrature.samples_per_axis
-    mean_ratio = _mean_power_ratio(antenna, samples)
-    refined = _mean_power_ratio(antenna, 2 * (samples - 1) + 1)
+    mean_ratio, refined = _pattern_means(antenna, samples)
     if abs(refined - mean_ratio) > quadrature.convergence_tol * abs(refined):
         raise ConvergenceError(
             f"pattern average moved from {mean_ratio!r} to {refined!r} on grid "
-            f"doubling ({samples} to {2 * (samples - 1) + 1} samples per axis), "
+            f"doubling ({samples} to {2 * samples - 1} samples per axis), "
             f"beyond relative tolerance {quadrature.convergence_tol!r}")
     return db_to_linear(antenna.g_max_dbi) * mean_ratio
 

@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -67,7 +68,11 @@ class SweepGrid:
         if self.distances_m is not None:
             if any(v is not None for v in linear):
                 raise ValueError("give either start/stop/points or distances_m, not both")
-            object.__setattr__(self, "distances_m", tuple(float(d) for d in self.distances_m))
+            try:
+                distances = tuple(float(d) for d in self.distances_m)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError("distances_m must be a sequence of numbers") from None
+            object.__setattr__(self, "distances_m", distances)
             previous = 0.0
             for d in self.distances_m:
                 if not (math.isfinite(d) and d > previous):
@@ -78,9 +83,9 @@ class SweepGrid:
             return
         if any(v is None for v in linear):
             raise ValueError("start_m, stop_m, and points are all required for a linear grid")
-        if not (math.isfinite(self.start_m) and self.start_m > 0.0):
+        if not (_finite(self.start_m) and self.start_m > 0.0):
             raise ValueError("start_m must be > 0")
-        if not (math.isfinite(self.stop_m) and self.stop_m > self.start_m):
+        if not (_finite(self.stop_m) and self.stop_m > self.start_m):
             raise ValueError("stop_m must exceed start_m")
         object.__setattr__(self, "points", _whole_number(self.points, "points", 1))
 
@@ -89,6 +94,14 @@ class SweepGrid:
         if self.distances_m is not None:
             return self.distances_m
         return tuple(_linspace(float(self.start_m), float(self.stop_m), self.points))
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number; False for a string or None."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int beyond the double range
+        return False
 
 
 @dataclass(frozen=True)
@@ -280,22 +293,37 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
         doc = yaml.safe_load(text)
     # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
     except (yaml.YAMLError, ValueError) as exc:
-        raise ScenarioError(_parse_error_text(exc)) from exc
+        raise ScenarioError(_parse_error_text(exc, text)) from exc
     return _parse_document(doc)
+
+
+# the line breaks of YAML 1.1, which PyYAML's marks count
+_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 def _at(mark) -> str:
     return f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
 
 
-def _parse_error_text(exc: Exception) -> str:
-    """One line for a YAML or scalar-construction error.
+def _at_offset(text: str, offset: int) -> str:
+    """``_at`` for a character offset into ``text``."""
+    line = line_start = 0
+    for line, found in enumerate(_LINE_BREAK.finditer(text, 0, offset), 1):
+        line_start = found.end()
+    return f" at line {line + 1}, column {offset - line_start + 1}"
+
+
+def _parse_error_text(exc: Exception, parsed) -> str:
+    """One line for a YAML or scalar-construction error in ``parsed``.
 
     PyYAML's own text quotes the source lines under every position;
     this keeps the problem, its position, and the construct it arose in.
     """
+    if isinstance(exc, yaml.reader.ReaderError) and isinstance(parsed, str):
+        # a ReaderError gives a character offset, on a second line
+        problem = str(exc).splitlines()[0]
+        return f"scenario parse error{_at_offset(parsed, exc.position)}: {problem}"
     if not isinstance(exc, yaml.MarkedYAMLError):
-        # a ReaderError puts its position on a second line
         text = " ".join(line.strip() for line in str(exc).splitlines())
         return f"scenario parse error: {text}"
     text = f"scenario parse error{_at(exc.problem_mark)}: {exc.problem}"

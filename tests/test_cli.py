@@ -212,8 +212,8 @@ def test_malformed_scenario_exits_1(tmp_path):
     ('label: "unterminated\n', "at line 2, column 1"),
     ("\tlink: {}\n", "at line 1, column 1"),
     ("link: *undefined\n", "at line 1, column 7"),
-    # PyYAML's reader counts characters, not lines
-    ("label: \x07\n", "position 7"),
+    # PyYAML's reader gives a character offset, turned into a line and column
+    ("label: \x07\n", "at line 1, column 8"),
 ], ids=["flow-sequence", "flow-mapping", "quote", "leading-tab", "undefined-alias",
         "control-character"])
 def test_yaml_parse_errors_print_one_line_with_the_position(tmp_path, text, where):
@@ -289,7 +289,9 @@ distances = st.one_of(
        limit=st.sampled_from([*BUILTIN_LIMITS, "2.0", "1e-300", "0", "-1", "nan", "inf"])
        | st.text(max_size=8),
        fmt=st.none() | st.sampled_from(["csv", "json"]),
-       samples=st.none() | st.integers(2, 400),
+       # counts outside [2, 65536] are rejected before any work is done
+       samples=st.none() | st.integers(2, 400) | st.integers(max_value=1)
+       | st.integers(min_value=65537),
        to_file=st.booleans())
 @example(command="sweep", source=("--scenario", "thin.yaml"), start=1e-151, stop=1e-150,
          points=2, limit="FCC", fmt="csv", samples=None, to_file=False)
@@ -328,32 +330,23 @@ def test_cli_exits_0_1_or_2_with_one_error_line(fuzz_dir, command, source, start
         assert b"inf" not in written.lower() and b"nan" not in written.lower()
 
 
-# Run in a fresh interpreter, since this test process imports numpy itself.
+# Run in a fresh interpreter in which numpy cannot be imported at all, as if
+# it were not installed; this test process imports numpy itself.
 NUMPY_FREE_CALLS = """
 import json, sys
+sys.modules["numpy"] = None
 import wearemf
 from wearemf import cli
 
-out = sys.argv[1]
+scenario, out = sys.argv[1:]
 calls = [["presets"]]
-for preset in wearemf.preset_names():
-    calls += [["sweep", "--preset", preset, "--output", out],
-              ["sweep", "--preset", preset, "--format", "json", "--output", out],
-              ["safe-distance", "--preset", preset, "--limit", "ICNIRP", "--output", out],
-              ["safe-distance", "--preset", preset, "--limit", "FCC", "--output", out]]
+for source in [["--preset", name] for name in wearemf.preset_names()] + [["--scenario", scenario]]:
+    calls += [["sweep", *source, "--output", out],
+              ["sweep", *source, "--format", "json", "--output", out],
+              ["safe-distance", *source, "--limit", "ICNIRP", "--output", out],
+              ["safe-distance", *source, "--limit", "FCC", "--output", out]]
 codes = [cli.main(argv) for argv in calls]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
-"""
-
-AZIMUTH_DEPENDENT_MEAN = """
-import json, sys
-from wearemf import AntennaConfig, PatternModel
-from wearemf.exposure import _mean_power_ratio
-
-pencil = AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=11.9)
-before = "numpy" in sys.modules
-print(json.dumps({"mean": _mean_power_ratio(pencil, 361), "before": before,
-                  "after": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes, "numpy": sys.modules["numpy"]}))
 """
 
 
@@ -364,17 +357,15 @@ def run_python(code, *args):
 
 
 def test_cli_on_the_presets_never_imports_numpy(tmp_path):
-    result = run_python(NUMPY_FREE_CALLS, str(tmp_path / "out"))
-    assert result["codes"] == [0] * len(result["codes"])
-    assert result["numpy"] is False
-
-
-def test_an_azimuth_dependent_pattern_still_averages_in_2d():
-    from wearemf import AntennaConfig, PatternModel
-    from wearemf.exposure import _mean_power_ratio
-
-    result = run_python(AZIMUTH_DEPENDENT_MEAN)
-    assert (result["before"], result["after"]) == (False, True)
-    pencil = AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=11.9)
-    assert result["mean"] == _mean_power_ratio(pencil, 361)
-    assert 10.0 ** (-pencil.sidelobe_floor_db / 10.0) < result["mean"] < 1.0
+    # a pattern that varies with azimuth is averaged over both angles
+    doc = yaml.safe_load(serialize_scenario(load_preset("wearable-2.4ghz")))
+    doc["antenna"]["omni_azimuth"] = False
+    pencil = tmp_path / "pencil.yaml"
+    pencil.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    result = run_python(NUMPY_FREE_CALLS, str(pencil), str(out))
+    assert result == {"codes": [0] * 13, "numpy": None}
+    # the last call was the FCC safe distance of the azimuth-dependent pattern
+    assert cli.main(["safe-distance", "--scenario", str(pencil), "--limit", "FCC",
+                     "--output", str(tmp_path / "here")]) == 0
+    assert out.read_bytes() == (tmp_path / "here").read_bytes()

@@ -21,7 +21,8 @@ from wearemf import (
     sar_avg,
     sar_boundary,
 )
-from wearemf.exposure import _linspace, _mean_power_ratio
+from wearemf import exposure
+from wearemf.exposure import _linspace, _mean_gain, _pattern_means
 
 ULA16 = AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=11.9,
                       n_elements=16)
@@ -200,6 +201,7 @@ def test_sar_avg_rejects_bad_distance():
     dict(samples_per_axis=True),
     dict(samples_per_axis=math.inf),
     dict(samples_per_axis=math.nan),
+    dict(samples_per_axis=65537),
 ])
 def test_quadrature_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -274,14 +276,49 @@ def test_mean_power_ratio_matches_the_2d_reference(kind, samples):
     rng = random.Random(f"{kind}-{samples}")
     for _ in range(6):
         antenna = _design(rng, kind)
-        got = _mean_power_ratio(antenna, samples)
+        got, _ = _pattern_means(antenna, samples)
         want = _reference_mean_power_ratio(antenna, samples)
-        if kind == "2d":
-            assert got == want, antenna
-        else:
-            # the elevation-only fsum rounds differently from the 2-D sum;
-            # 8 ulps is the bound fixed before the 1-D average was written
-            assert abs(got - want) <= 8 * math.ulp(want), antenna
+        # both averages round differently from the one 2-D numpy sum; 8 ulps
+        # is the bound fixed before either was written
+        assert abs(got - want) <= 8 * math.ulp(want), antenna
+
+
+def test_the_doubled_grid_holds_the_grid_at_its_even_points():
+    rng = random.Random(11)
+    for n in [*range(2, 1501), *(rng.randint(1501, 65536) for _ in range(4)), 65536]:
+        assert _linspace(0.0, 2.0 * math.pi, n) == \
+            _linspace(0.0, 2.0 * math.pi, 2 * n - 1)[::2], n
+
+
+@pytest.mark.parametrize("kind", ["array", "omni", "2d"])
+def test_the_refined_mean_is_the_mean_on_the_doubled_grid(kind):
+    antenna = _design(random.Random(f"doubled-{kind}"), kind)
+    for samples in (2, 181, 361):
+        _, refined = _pattern_means(antenna, samples)
+        assert refined == _pattern_means(antenna, 2 * samples - 1)[0], samples
+
+
+@pytest.mark.parametrize("kind", ["array", "omni", "2d"])
+def test_the_mean_gain_evaluates_the_pattern_once_on_the_doubled_grid(kind, monkeypatch):
+    calls = []
+
+    def counted(evaluate):
+        def wrapper(*args):
+            calls.append(args)
+            return evaluate(*args)
+        return wrapper
+
+    monkeypatch.setattr(exposure, "_power_ratio", counted(exposure._power_ratio))
+    monkeypatch.setattr(exposure, "_parabolic_db", counted(exposure._parabolic_db))
+    # a design no other test uses, so that the pattern cache misses
+    antenna = _design(random.Random(f"once-{kind}"), kind)
+    # the count is under test, not the accuracy of a random design
+    quadrature = QuadratureSpec(samples_per_axis=181, convergence_tol=1.0)
+    once = (2 if kind == "2d" else 1) * (2 * 181 - 1)  # 2-D: one call per axis
+    first = _mean_gain(antenna, quadrature)
+    assert len(calls) == once
+    assert _mean_gain(antenna, quadrature) == first
+    assert len(calls) == once
 
 
 def test_linspace_matches_numpy():

@@ -197,6 +197,9 @@ def test_invariant_violations_carry_the_section_name():
     # Fresnel reflection needs a positive real part when nothing overrides it
     with pytest.raises(ScenarioError, match="^tissue: "):
         load_scenario(MINIMAL + "tissue:\n  rel_permittivity_real: -1.0\n")
+    # the grid size is capped, so no file can ask for unbounded work
+    with pytest.raises(ScenarioError, match=r"^quadrature: .*in \[2, 65536\]$"):
+        load_scenario(MINIMAL + "quadrature:\n  samples_per_axis: 100000000\n")
 
 
 def test_parse_errors_carry_a_line_number():
@@ -247,6 +250,13 @@ def test_sweep_grid_forms_are_exclusive():
     for points in (True, 4.5, 0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^points must be an integer >= 1$"):
             SweepGrid(start_m=0.001, stop_m=0.01, points=points)
+    # not numbers at all: a ValueError like every other bad grid, not a TypeError
+    with pytest.raises(ValueError):
+        SweepGrid(distances_m=(None,))
+    with pytest.raises(ValueError):
+        SweepGrid(distances_m=5)
+    with pytest.raises(ValueError):
+        SweepGrid(start_m="a", stop_m=0.1, points=3)
 
 
 def test_sweep_grid_resolution_endpoints():

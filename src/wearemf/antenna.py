@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = ["PatternModel", "AntennaConfig", "gain_dbi"]
@@ -53,25 +55,46 @@ class AntennaConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.model, PatternModel):
             raise ValueError(f"model must be a PatternModel member, got {self.model!r}")
-        if not math.isfinite(self.g_max_dbi):
-            raise ValueError("g_max_dbi must be finite")
+        for name, above in (("g_max_dbi", None), ("element_spacing_wavelengths", None),
+                            ("theta_3db_deg", None), ("sidelobe_floor_db", 0),
+                            ("boresight_elevation_deg", None), ("boresight_azimuth_deg", None)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, above))
         object.__setattr__(self, "n_elements", _whole_number(self.n_elements, "n_elements", 1))
-        if not (math.isfinite(self.element_spacing_wavelengths)
-                and self.element_spacing_wavelengths >= 0.0):
+        if self.element_spacing_wavelengths < 0.0:
             raise ValueError("element_spacing_wavelengths must be >= 0")
-        if not (math.isfinite(self.theta_3db_deg) and 0.0 < self.theta_3db_deg <= 180.0):
+        if not 0.0 < self.theta_3db_deg <= 180.0:
             raise ValueError("theta_3db_deg must lie in (0, 180]")
-        if not (math.isfinite(self.sidelobe_floor_db) and self.sidelobe_floor_db > 0.0):
-            raise ValueError("sidelobe_floor_db must be > 0")
-        if not math.isfinite(self.boresight_elevation_deg):
-            raise ValueError("boresight_elevation_deg must be finite")
-        if not math.isfinite(self.boresight_azimuth_deg):
-            raise ValueError("boresight_azimuth_deg must be finite")
+        if not 0.0 < _linear(self.g_max_dbi) < math.inf:
+            raise ValueError("g_max_dbi as a linear gain must be a positive, finite double")
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int or a float (numpy scalars too), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, name: str, above: float | None = None) -> float:
+    """``value`` as a float, if it is a finite real number (``_is_real``) greater
+    than ``above`` when that is given; else a ValueError naming the field."""
+    if type(value) is not float:
+        value = float(value) if _is_real(value) and abs(value) <= sys.float_info.max else math.nan
+    if not (math.isfinite(value) and (above is None or value > above)):
+        bound = "" if above is None else f" > {above!r}"
+        raise ValueError(f"{name} must be a finite number{bound}")
+    return value
+
+
+def _linear(value_db: float) -> float:
+    """The power ratio 10^(value_db/10), inf where that overflows a double."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _whole_number(value, name: str, minimum: int, maximum: int | None = None) -> int:
-    """``value`` as an int, if it is a whole number in [``minimum``, ``maximum``]
-    and not a bool.
+    """``value`` as an int, if it is a real number (see ``_is_real``) with a
+    whole value in [``minimum``, ``maximum``].
 
     An integral float such as 4.0 is accepted and returned as 4; inf
     and nan raise the same ValueError as any other bad count.
@@ -80,7 +103,7 @@ def _whole_number(value, name: str, minimum: int, maximum: int | None = None) ->
         message = f"{name} must be an integer >= {minimum}"
     else:
         message = f"{name} must be an integer in [{minimum}, {maximum}]"
-    if isinstance(value, bool):
+    if not _is_real(value):
         raise ValueError(message)
     try:
         whole = int(value)
@@ -144,7 +167,6 @@ def gain_dbi(config: AntennaConfig, theta_deg: float, phi_deg: float = 0.0) -> f
     attenuated by the selected pattern, never by more than the
     sidelobe floor.
     """
-    if not (math.isfinite(theta_deg) and math.isfinite(phi_deg)):
-        raise ValueError("angles must be finite")
-    att = _attenuation_db(config, math.radians(theta_deg), math.radians(phi_deg))
+    att = _attenuation_db(config, math.radians(_real(theta_deg, "theta_deg")),
+                          math.radians(_real(phi_deg, "phi_deg")))
     return config.g_max_dbi - att

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .antenna import gain_dbi
+from .antenna import _real, gain_dbi
 from .exposure import (
     _FOUR_PI,
     ExposureResult,
@@ -50,8 +50,8 @@ class ComplianceLimit:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("name must be non-empty")
-        if not (math.isfinite(self.sar_limit_w_per_kg) and self.sar_limit_w_per_kg > 0.0):
-            raise ValueError("sar_limit_w_per_kg must be > 0")
+        object.__setattr__(self, "sar_limit_w_per_kg",
+                           _real(self.sar_limit_w_per_kg, "sar_limit_w_per_kg", 0))
 
 
 BUILTIN_LIMITS = {
@@ -70,12 +70,9 @@ class DistanceSearch:
     tol_m: float = 1e-5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d_lo_m) and self.d_lo_m > 0.0):
-            raise ValueError("d_lo_m must be > 0")
-        if not (math.isfinite(self.d_hi_m) and self.d_hi_m > self.d_lo_m):
-            raise ValueError("d_hi_m must exceed d_lo_m")
-        if not (math.isfinite(self.tol_m) and self.tol_m > 0.0):
-            raise ValueError("tol_m must be > 0")
+        for name in ("d_lo_m", "tol_m"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
+        object.__setattr__(self, "d_hi_m", _real(self.d_hi_m, "d_hi_m", self.d_lo_m))
 
 
 # rounding puts the closed-form start within a few float steps of the
@@ -129,6 +126,15 @@ def min_safe_distance(
         f"imprecise to locate the {limit.name} crossing")
 
 
+def _check_distances(distances: Sequence[float], name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``distances`` suit ``sweep``."""
+    previous = 0.0
+    for d in distances:
+        if not (math.isfinite(d) and d > previous):
+            raise ValueError(f"{name} must be positive and strictly increasing")
+        previous = d
+
+
 def sweep(
     scenario: LinkScenario,
     tissue: TissueProperties,
@@ -149,12 +155,7 @@ def sweep(
     float arithmetic on per-scenario constants, in the scalar chain's
     operation order.
     """
-    previous = 0.0
-    for d in distances:
-        if not (math.isfinite(d) and d > previous):
-            raise ValueError("distances must be positive and strictly increasing")
-        previous = d
-
+    _check_distances(distances, "distances")
     antenna = scenario.tx_antenna
     boresight_gain_db = gain_dbi(antenna, antenna.boresight_elevation_deg,
                                  antenna.boresight_azimuth_deg)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio, _whole_number
+from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio, _real, _whole_number
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -56,8 +57,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples_per_axis", _whole_number(
             self.samples_per_axis, "samples_per_axis", 2, _MAX_SAMPLES))
-        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0.0):
-            raise ValueError("convergence_tol must be > 0")
+        object.__setattr__(self, "convergence_tol",
+                           _real(self.convergence_tol, "convergence_tol", 0))
 
 
 @dataclass(frozen=True)
@@ -77,22 +78,23 @@ class TissueProperties:
     reflection_override: float | None = None
 
     def __post_init__(self) -> None:
-        eps = complex(self.rel_permittivity)
-        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):
-            raise ValueError("rel_permittivity must be finite")
-        if not (math.isfinite(self.mass_density_kg_per_m3) and self.mass_density_kg_per_m3 > 0.0):
-            raise ValueError("mass_density_kg_per_m3 must be > 0")
-        if not (math.isfinite(self.penetration_depth_m) and self.penetration_depth_m > 0.0):
-            raise ValueError("penetration_depth_m must be > 0")
+        eps = self.rel_permittivity
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Complex):
+            raise ValueError("rel_permittivity must be a complex number")
+        eps = complex(_real(eps.real, "rel_permittivity"), _real(eps.imag, "rel_permittivity"))
+        object.__setattr__(self, "rel_permittivity", eps)
+        for name in ("mass_density_kg_per_m3", "penetration_depth_m"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         if not 0.0 < self.penetration_depth_m * self.mass_density_kg_per_m3 < math.inf:
             raise ValueError("penetration_depth_m * mass_density_kg_per_m3 must be a "
                              "positive, finite double")
-        if self.reflection_override is None:
-            if eps.real <= 0.0:
-                raise ValueError("rel_permittivity must have a positive real part")
-        elif not (math.isfinite(self.reflection_override)
-                  and 0.0 <= self.reflection_override < 1.0):
-            raise ValueError("reflection_override must lie in [0, 1)")
+        if self.reflection_override is not None:
+            object.__setattr__(self, "reflection_override",
+                               _real(self.reflection_override, "reflection_override"))
+            if not 0.0 <= self.reflection_override < 1.0:
+                raise ValueError("reflection_override must lie in [0, 1)")
+        elif eps.real <= 0.0:
+            raise ValueError("rel_permittivity must have a positive real part")
 
 
 @dataclass(frozen=True)
@@ -126,12 +128,9 @@ def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> f
     Raises OverflowError, naming the distance, when the result is too
     large for a double.
     """
-    if not (math.isfinite(tx_power_w) and tx_power_w > 0.0):
-        raise ValueError("tx_power_w must be > 0")
-    if not (math.isfinite(gain_linear) and gain_linear > 0.0):
-        raise ValueError("gain_linear must be > 0")
-    if not (math.isfinite(distance_m) and distance_m > 0.0):
-        raise ValueError("distance_m must be > 0")
+    tx_power_w = _real(tx_power_w, "tx_power_w", 0)
+    gain_linear = _real(gain_linear, "gain_linear", 0)
+    distance_m = _real(distance_m, "distance_m", 0)
     try:
         pd = tx_power_w * gain_linear / (_FOUR_PI * (distance_m * distance_m))
     except ZeroDivisionError:  # d^2 underflowed to zero
@@ -151,7 +150,7 @@ def reflection_coefficient(tissue: TissueProperties) -> float:
     """
     if tissue.reflection_override is not None:
         return tissue.reflection_override
-    root = cmath.sqrt(complex(tissue.rel_permittivity))
+    root = cmath.sqrt(tissue.rel_permittivity)
     return abs((root - 1.0) / (root + 1.0))
 
 
@@ -163,7 +162,8 @@ def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
     2 * PD * (1 - gamma^2) / (depth * density).  Raises OverflowError
     when the result is too large for a double.
     """
-    if not (math.isfinite(pd_w_per_m2) and pd_w_per_m2 >= 0.0):
+    pd_w_per_m2 = _real(pd_w_per_m2, "pd_w_per_m2")
+    if pd_w_per_m2 < 0.0:
         raise ValueError("pd_w_per_m2 must be >= 0")
     gamma = reflection_coefficient(tissue)
     transmitted = 1.0 - gamma * gamma
@@ -282,8 +282,7 @@ def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
     is validated against a grid with doubled resolution; a relative
     drift above the configured tolerance raises ConvergenceError.
     """
-    if not (math.isfinite(distance_m) and distance_m > 0.0):
-        raise ValueError("distance_m must be > 0")
+    distance_m = _real(distance_m, "distance_m", 0)
     mean_gain = _mean_gain(scenario.tx_antenna, quadrature)
     pd_mean = power_density(dbm_to_watts(scenario.tx_power_dbm), mean_gain, distance_m)
     try:

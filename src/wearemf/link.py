@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .antenna import AntennaConfig, gain_dbi
+from .antenna import AntennaConfig, _linear, _real, gain_dbi
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -52,16 +52,17 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if not isinstance(self.tx_antenna, AntennaConfig):
             raise ValueError("tx_antenna must be an AntennaConfig")
-        for name in ("carrier_mhz", "bandwidth_hz", "temperature_k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError("tx_power_dbm must be finite")
-        if not math.isfinite(self.rx_gain_dbi):
-            raise ValueError("rx_gain_dbi must be finite")
-        if not (math.isfinite(self.noise_figure_db) and self.noise_figure_db >= 0.0):
+        for name, above in (("carrier_mhz", 0), ("bandwidth_hz", 0), ("temperature_k", 0),
+                            ("tx_power_dbm", None), ("rx_gain_dbi", None),
+                            ("noise_figure_db", None)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, above))
+        if self.noise_figure_db < 0.0:
             raise ValueError("noise_figure_db must be >= 0")
+        if not 0.0 < _linear(self.tx_power_dbm - 30.0) < math.inf:
+            raise ValueError("tx_power_dbm in watts must be a positive, finite double")
+        if not 0.0 < BOLTZMANN_J_PER_K * self.temperature_k * self.bandwidth_hz < math.inf:
+            raise ValueError("the noise power k*temperature_k*bandwidth_hz must be a "
+                             "positive, finite double")
 
 
 def db_to_linear(value_db: float) -> float:
@@ -95,24 +96,16 @@ def fspl_db(distance_m: float, carrier_mhz: float) -> float:
     as d -> 0, so non-positive distances are rejected rather than
     returning a huge negative loss.
     """
-    if not (math.isfinite(distance_m) and distance_m > 0.0):
-        raise ValueError("distance_m must be finite and > 0")
-    if not (math.isfinite(carrier_mhz) and carrier_mhz > 0.0):
-        raise ValueError("carrier_mhz must be finite and > 0")
-    return 20.0 * math.log10(distance_m) + 20.0 * math.log10(carrier_mhz) - 27.55
+    return (20.0 * math.log10(_real(distance_m, "distance_m", 0))
+            + 20.0 * math.log10(_real(carrier_mhz, "carrier_mhz", 0)) - 27.55)
 
 
 def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0,
                     temperature_k: float = 290.0) -> float:
     """Thermal noise power k*T*B referred to 1 mW, plus the noise figure."""
-    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
-        raise ValueError("bandwidth_hz must be finite and > 0")
-    if not (math.isfinite(temperature_k) and temperature_k > 0.0):
-        raise ValueError("temperature_k must be finite and > 0")
-    if not math.isfinite(noise_figure_db):
-        raise ValueError("noise_figure_db must be finite")
-    kTB_w = BOLTZMANN_J_PER_K * temperature_k * bandwidth_hz
-    return watts_to_dbm(kTB_w) + noise_figure_db
+    bandwidth_hz = _real(bandwidth_hz, "bandwidth_hz", 0)
+    kTB_w = BOLTZMANN_J_PER_K * _real(temperature_k, "temperature_k", 0) * bandwidth_hz
+    return watts_to_dbm(kTB_w) + _real(noise_figure_db, "noise_figure_db")
 
 
 def snr_db(scenario: LinkScenario, distance_m: float,
@@ -140,12 +133,10 @@ def snr_db(scenario: LinkScenario, distance_m: float,
 def shannon_rate_bps(bandwidth_hz: float, snr_db: float) -> float:
     """Shannon capacity B*log2(1 + SNR) in bit/s.
 
-    snr_db may be -inf (zero SNR, zero rate); NaN and +inf are
-    rejected.
+    snr_db must be finite or -inf (zero SNR, zero rate).
     """
-    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
-        raise ValueError("bandwidth_hz must be finite and > 0")
-    if math.isnan(snr_db) or snr_db == math.inf:
-        raise ValueError("snr_db must not be NaN or +inf")
+    bandwidth_hz = _real(bandwidth_hz, "bandwidth_hz", 0)
+    if snr_db != -math.inf:
+        snr_db = _real(snr_db, "snr_db")
     snr_linear = 10.0 ** (snr_db / 10.0)
     return bandwidth_hz * math.log1p(snr_linear) / _LN2

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import operator
 import os
 import re
@@ -20,11 +19,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-import yaml
-
-from .antenna import AntennaConfig, PatternModel, _whole_number
-from .compliance import BUILTIN_LIMITS, ComplianceLimit
-from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
+from .antenna import AntennaConfig, PatternModel, _is_real, _real, _whole_number
+from .compliance import BUILTIN_LIMITS, ComplianceLimit, _check_distances
+from .exposure import _MAX_SAMPLES, ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
 
 __all__ = [
@@ -56,7 +53,8 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Distance grid, either linear (start/stop/points) or explicit."""
+    """Distance grid, either linear (start/stop/points, at most 2^16 points)
+    or explicit; it holds to the rule of ``sweep``'s distances."""
 
     start_m: float | None = None
     stop_m: float | None = None
@@ -69,39 +67,29 @@ class SweepGrid:
             if any(v is not None for v in linear):
                 raise ValueError("give either start/stop/points or distances_m, not both")
             try:
-                distances = tuple(float(d) for d in self.distances_m)
-            except (TypeError, ValueError, OverflowError):
+                distances = tuple(_real(d, "distances_m") for d in self.distances_m)
+            except TypeError:  # not iterable
                 raise ValueError("distances_m must be a sequence of numbers") from None
-            object.__setattr__(self, "distances_m", distances)
-            previous = 0.0
-            for d in self.distances_m:
-                if not (math.isfinite(d) and d > previous):
-                    raise ValueError("distances_m must be positive and strictly increasing")
-                previous = d
-            if not self.distances_m:
+            if not distances:
                 raise ValueError("distances_m must hold at least one distance")
+            _check_distances(distances, "distances_m")
+            object.__setattr__(self, "distances_m", distances)
             return
         if any(v is None for v in linear):
             raise ValueError("start_m, stop_m, and points are all required for a linear grid")
-        if not (_finite(self.start_m) and self.start_m > 0.0):
-            raise ValueError("start_m must be > 0")
-        if not (_finite(self.stop_m) and self.stop_m > self.start_m):
-            raise ValueError("stop_m must exceed start_m")
+        object.__setattr__(self, "start_m", _real(self.start_m, "start_m", 0))
+        object.__setattr__(self, "stop_m", _real(self.stop_m, "stop_m", self.start_m))
         object.__setattr__(self, "points", _whole_number(self.points, "points", 1))
+        if self.points > _MAX_SAMPLES:  # the bound of samples_per_axis
+            raise ValueError(f"points must be at most {_MAX_SAMPLES}")
+        _check_distances(self.resolve(), f"the {self.points} grid points from "
+                         f"{self.start_m!r} m to {self.stop_m!r} m")
 
     def resolve(self) -> tuple[float, ...]:
         """Concrete strictly increasing distance list in meters."""
         if self.distances_m is not None:
             return self.distances_m
-        return tuple(_linspace(float(self.start_m), float(self.stop_m), self.points))
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; False for a string or None."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number; an int beyond the double range
-        return False
+        return tuple(_linspace(self.start_m, self.stop_m, self.points))
 
 
 @dataclass(frozen=True)
@@ -149,19 +137,15 @@ def _coerce(label: str, value, kind: str):
     """
     # "X | None" fields default to None when absent; a null value is rejected
     kind = kind.removesuffix(" | None")
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if kind in ("float", "int"):
+        if not _is_real(value):
             raise ScenarioError(f"'{label}' must be a number{_number_hint(value)}")
+        if kind == "int":  # the record checks that it is a whole number
+            return value
         try:
             return float(value)
         except OverflowError:
             raise ScenarioError(f"'{label}' is too large for a float") from None
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            if isinstance(value, float) and value.is_integer():
-                return int(value)
-            raise ScenarioError(f"'{label}' must be an integer{_number_hint(value)}")
-        return int(value)
     if kind == "bool":
         if not isinstance(value, bool):
             raise ScenarioError(f"'{label}' must be a boolean")
@@ -279,22 +263,37 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
     a string containing newlines is parsed directly as YAML.
     """
     if isinstance(source, os.PathLike):
-        text = Path(source).read_text(encoding="utf-8")
+        text = _read_text(Path(source))
     elif isinstance(source, str) and "\n" not in source:
         try:
-            text = Path(source).read_text(encoding="utf-8")
+            text = _read_text(Path(source))
         except FileNotFoundError:
             raise ScenarioError(
                 f"no scenario file {source!r}: a string without a newline is read "
                 "as a path, and no such file exists") from None
     else:
         text = source
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
     except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError(_parse_error_text(exc, text)) from exc
     return _parse_document(doc)
+
+
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file; otherwise a ScenarioError names the file
+    and the line and column of the first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        raise ScenarioError(
+            f"scenario file {str(path)!r} is not UTF-8{_at_offset(before, len(before))}: "
+            f"byte 0x{data[exc.start]:02x}, {exc.reason}") from None
 
 
 # the line breaks of YAML 1.1, which PyYAML's marks count
@@ -319,6 +318,8 @@ def _parse_error_text(exc: Exception, parsed) -> str:
     PyYAML's own text quotes the source lines under every position;
     this keeps the problem, its position, and the construct it arose in.
     """
+    import yaml
+
     if isinstance(exc, yaml.reader.ReaderError) and isinstance(parsed, str):
         # a ReaderError gives a character offset, on a second line
         problem = str(exc).splitlines()[0]
@@ -344,8 +345,10 @@ def _dump(record, *skip: str) -> dict:
 
 def serialize_scenario(scenario_file: ScenarioFile) -> str:
     """YAML text that loads back to an identical ScenarioFile."""
+    import yaml
+
     sc = scenario_file.scenario
-    eps = complex(scenario_file.tissue.rel_permittivity)
+    eps = scenario_file.tissue.rel_permittivity
     doc: dict = {}
     if sc.label:
         doc["label"] = sc.label

@@ -120,6 +120,9 @@ def test_rejects_non_finite_angles():
         gain_dbi(PENCIL, math.nan, 0.0)
     with pytest.raises(ValueError):
         gain_dbi(PENCIL, 0.0, math.inf)
+    for bad in (True, "1", None, 10**400):
+        with pytest.raises(ValueError):
+            gain_dbi(PENCIL, bad, 0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -136,6 +139,14 @@ def test_rejects_non_finite_angles():
     dict(n_elements=2.5),
     dict(n_elements=math.inf),
     dict(n_elements=math.nan),
+    # not a real number, or beyond the double range
+    *[{field: bad} for field in ("g_max_dbi", "element_spacing_wavelengths", "theta_3db_deg",
+                                 "sidelobe_floor_db", "boresight_elevation_deg",
+                                 "boresight_azimuth_deg")
+      for bad in (True, "1", None, 10**400)],
+    # finite in dB, but 0 or beyond the double range as a linear gain
+    dict(g_max_dbi=1.0e10),
+    dict(g_max_dbi=-1.0e10),
 ])
 def test_rejects_invalid_configs(kwargs):
     base = dict(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0)

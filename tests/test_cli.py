@@ -91,12 +91,44 @@ def test_floating_point_failures_exit_2(argv):
     assert argv[argv.index("--from") + 1].encode() in err
 
 
-def write_scenario(path, **tissue):
-    """The 60 GHz preset with some tissue keys replaced, written to path."""
+def write_scenario(path, section="tissue", **values):
+    """The 60 GHz preset with some keys of one section replaced, written to path."""
     doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
-    doc["tissue"].update(tissue)
+    doc[section].update(values)
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("link", "tx_power_dbm", 1.0e10),
+    ("link", "tx_power_dbm", -1.0e10),
+    ("antenna", "g_max_dbi", 1.0e10),
+    ("antenna", "g_max_dbi", -1.0e10),
+    # k*T*B underflows to zero
+    ("link", "bandwidth_hz", 1.0e-320),
+])
+def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key, value):
+    scenario = write_scenario(tmp_path / "edge.yaml", section, **{key: value})
+    for argv in (("sweep",), ("safe-distance", "--limit", "ICNIRP")):
+        code, out, err = run_cli(*argv, "--scenario", str(scenario))
+        assert code == 1
+        assert out == b""
+        lines = err.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {section}: ")
+        assert key in lines[0]
+
+
+def test_a_file_that_is_not_utf8_is_named_with_the_position(tmp_path):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"label: x\n\xff\n")
+    code, out, err = run_cli("sweep", "--scenario", str(bad))
+    assert code == 1
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert str(bad) in lines[0]
+    assert "not UTF-8 at line 2, column 1" in lines[0]
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -164,6 +196,21 @@ def test_sweep_uses_scenario_grid_by_default():
     code, out, _ = run_cli("sweep", "--preset", "wearable-60ghz")
     assert code == 0
     assert len(out.decode().strip().split("\n")) == 51  # header + 50 points
+
+
+@pytest.mark.parametrize("grid", [
+    # the points repeat: 1.0 and 1.0000000000000004 are two float steps apart
+    ("--from", "1", "--to", "1.0000000000000004", "--points", "5"),
+    ("--from", "1", "--to", "2", "--points", "65537"),
+])
+def test_a_grid_that_sweep_cannot_take_is_refused_as_a_grid(grid):
+    code, out, err = run_cli("sweep", "--preset", "wearable-60ghz", *grid)
+    assert code == 1
+    assert out == b""
+    lines = err.decode().splitlines()
+    assert len(lines) == 1
+    assert "points" in lines[0]
+    assert "distances must" not in lines[0]
 
 
 def test_sweep_partial_grid_flags_exit_1():
@@ -285,7 +332,9 @@ distances = st.one_of(
                               + [("--scenario", "thin.yaml"),
                                  ("--scenario", "underflow.yaml")]),
        start=st.none() | distances, stop=st.none() | distances,
-       points=st.none() | st.integers(1, 50),
+       # counts outside [1, 65536] are rejected before the grid is built
+       points=st.none() | st.integers(1, 50) | st.integers(max_value=0)
+       | st.integers(min_value=65537),
        limit=st.sampled_from([*BUILTIN_LIMITS, "2.0", "1e-300", "0", "-1", "nan", "inf"])
        | st.text(max_size=8),
        fmt=st.none() | st.sampled_from(["csv", "json"]),
@@ -354,6 +403,15 @@ def run_python(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
     return json.loads(done.stdout.decode().splitlines()[-1])
+
+
+def test_listing_the_presets_does_not_import_yaml():
+    code = ("import io, json, sys, contextlib\n"
+            "from wearemf import cli\n"
+            "with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):\n"
+            "    status = cli.main(['presets'])\n"
+            "print(json.dumps({'code': status, 'yaml': 'yaml' in sys.modules}))\n")
+    assert run_python(code) == {"code": 0, "yaml": False}
 
 
 def test_cli_on_the_presets_never_imports_numpy(tmp_path):

@@ -48,6 +48,9 @@ def test_limit_validation():
         ComplianceLimit("bogus", 0.0)
     with pytest.raises(ValueError):
         ComplianceLimit("", 1.0)
+    for bad in (True, "1", None, 10**400):
+        with pytest.raises(ValueError):
+            ComplianceLimit("bogus", bad)
 
 
 def test_search_validation():
@@ -57,6 +60,10 @@ def test_search_validation():
         DistanceSearch(d_lo_m=0.5, d_hi_m=0.1)
     with pytest.raises(ValueError):
         DistanceSearch(tol_m=0.0)
+    for bad in (True, "1", None, 10**400):
+        for kwargs in (dict(d_lo_m=bad, d_hi_m=2.0), dict(d_hi_m=bad), dict(tol_m=bad)):
+            with pytest.raises(ValueError):
+                DistanceSearch(**kwargs)
 
 
 def test_solver_returns_a_compliant_distance():

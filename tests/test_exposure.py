@@ -56,7 +56,8 @@ def test_power_density_inverse_square_is_exact():
 
 def test_power_density_rejects_bad_inputs():
     for p, g, d in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0),
-                    (1.0, 1.0, -0.1), (math.nan, 1.0, 1.0)):
+                    (1.0, 1.0, -0.1), (math.nan, 1.0, 1.0), (True, 1.0, 1.0),
+                    (1.0, "1", 1.0), (1.0, 1.0, None), (1.0, 1.0, 10**400)):
         with pytest.raises(ValueError):
             power_density(p, g, d)
 
@@ -187,7 +188,7 @@ def test_sar_avg_reports_non_convergence():
 
 def test_sar_avg_rejects_bad_distance():
     scenario = _scenario(ULA16)
-    for d in (0.0, -0.01, math.nan):
+    for d in (0.0, -0.01, math.nan, True, "0.01", None, 10**400):
         with pytest.raises(ValueError):
             sar_avg(scenario, SKIN, d)
 
@@ -202,6 +203,8 @@ def test_sar_avg_rejects_bad_distance():
     dict(samples_per_axis=math.inf),
     dict(samples_per_axis=math.nan),
     dict(samples_per_axis=65537),
+    dict(samples_per_axis=None),
+    *[dict(convergence_tol=bad) for bad in (True, "1", None, 10**400)],
 ])
 def test_quadrature_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -344,6 +347,11 @@ def test_linspace_matches_numpy():
     dict(penetration_depth_m=1e-200, mass_density_kg_per_m3=1e-200),
     # Fresnel reflection needs a positive real part when nothing overrides it
     dict(rel_permittivity=complex(0.0, -1.0)),
+    # not a number, or beyond the double range; True is no override either
+    *[{field: bad} for field in ("mass_density_kg_per_m3", "penetration_depth_m",
+                                 "rel_permittivity")
+      for bad in (True, "1", None, 10**400)],
+    *[dict(reflection_override=bad) for bad in ("1", 10**400)],
 ])
 def test_tissue_validation(kwargs):
     with pytest.raises(ValueError):

@@ -48,7 +48,8 @@ def test_fspl_doubling_adds_six_db(distance):
 
 def test_fspl_rejects_bad_inputs():
     for d, f in ((0.0, 2400.0), (-1.0, 2400.0), (1.0, 0.0), (1.0, -5.0),
-                 (math.nan, 2400.0), (1.0, math.inf)):
+                 (math.nan, 2400.0), (1.0, math.inf), (True, 2400.0), (1.0, "2400"),
+                 (None, 2400.0), (10**400, 2400.0)):
         with pytest.raises(ValueError):
             fspl_db(d, f)
 
@@ -69,6 +70,9 @@ def test_noise_rejects_bad_inputs():
         noise_power_dbm(1e6, 0.0, 0.0)
     with pytest.raises(ValueError):
         noise_power_dbm(1e6, math.nan, 290.0)
+    for bad in (True, "1", None, 10**400):
+        with pytest.raises(ValueError):
+            noise_power_dbm(1e6, 0.0, bad)
 
 
 def test_snr_chain_reference_values():
@@ -115,6 +119,11 @@ def test_shannon_rejects_bad_inputs():
         shannon_rate_bps(1e6, math.nan)
     with pytest.raises(ValueError):
         shannon_rate_bps(1e6, math.inf)
+    for bad in (True, "1", None, 10**400):
+        with pytest.raises(ValueError):
+            shannon_rate_bps(bad, 10.0)
+        with pytest.raises(ValueError):
+            shannon_rate_bps(1e6, bad)
 
 
 @given(value_db=st.floats(min_value=-300.0, max_value=300.0,
@@ -152,6 +161,15 @@ def test_dbm_to_watts_reference():
     dict(noise_figure_db=-0.5),
     dict(tx_power_dbm=math.inf),
     dict(rx_gain_dbi=math.nan),
+    # not a real number, or beyond the double range
+    *[{field: bad} for field in ("carrier_mhz", "bandwidth_hz", "tx_power_dbm", "rx_gain_dbi",
+                                 "noise_figure_db", "temperature_k")
+      for bad in (True, "1", None, 10**400)],
+    # finite, but 0 or beyond the double range in watts
+    dict(tx_power_dbm=1.0e10),
+    dict(tx_power_dbm=-1.0e10),
+    # k*T*B underflows to zero
+    dict(bandwidth_hz=1.0e-320),
 ])
 def test_scenario_rejects_invalid_fields(kwargs):
     base = dict(carrier_mhz=2400.0, bandwidth_hz=1e6, tx_power_dbm=0.0,

@@ -257,6 +257,17 @@ def test_sweep_grid_forms_are_exclusive():
         SweepGrid(distances_m=5)
     with pytest.raises(ValueError):
         SweepGrid(start_m="a", stop_m=0.1, points=3)
+    # not coerced: a string is no sequence of distances, True is no distance
+    with pytest.raises(ValueError):
+        SweepGrid(distances_m="123")
+    with pytest.raises(ValueError):
+        SweepGrid(start_m=True, stop_m=2, points=2)
+    # a grid that builds is a grid that sweep takes: these points repeat
+    with pytest.raises(ValueError, match="grid points"):
+        SweepGrid(start_m=1.0, stop_m=1.0000000000000004, points=5)
+    # the grid is bounded, with its own message
+    with pytest.raises(ValueError, match="^points must be at most 65536$"):
+        SweepGrid(start_m=0.001, stop_m=0.01, points=65537)
 
 
 def test_sweep_grid_resolution_endpoints():

@@ -59,7 +59,10 @@ class AntennaConfig:
                             ("theta_3db_deg", None), ("sidelobe_floor_db", 0),
                             ("boresight_elevation_deg", None), ("boresight_azimuth_deg", None)):
             object.__setattr__(self, name, _real(getattr(self, name), name, above))
-        object.__setattr__(self, "n_elements", _whole_number(self.n_elements, "n_elements", 1))
+        object.__setattr__(self, "n_elements",
+                           _whole_number(self.n_elements, "n_elements", 1, _MAX_SAMPLES))
+        if not isinstance(self.omni_azimuth, bool):
+            raise ValueError("omni_azimuth must be a boolean")
         if self.element_spacing_wavelengths < 0.0:
             raise ValueError("element_spacing_wavelengths must be >= 0")
         if not 0.0 < self.theta_3db_deg <= 180.0:
@@ -90,6 +93,10 @@ def _linear(value_db: float) -> float:
         return 10.0 ** (value_db / 10.0)
     except OverflowError:
         return math.inf
+
+
+# the largest count a record accepts, so that no count asks for unbounded work
+_MAX_SAMPLES = 2**16
 
 
 def _whole_number(value, name: str, minimum: int, maximum: int | None = None) -> int:

@@ -48,8 +48,10 @@ class ComplianceLimit:
     averaging_mass_note: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("name must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError("name must be a non-empty string")
+        if not isinstance(self.averaging_mass_note, str):
+            raise ValueError("averaging_mass_note must be a string")
         object.__setattr__(self, "sar_limit_w_per_kg",
                            _real(self.sar_limit_w_per_kg, "sar_limit_w_per_kg", 0))
 

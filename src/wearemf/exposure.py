@@ -17,7 +17,8 @@ import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .antenna import AntennaConfig, PatternModel, _parabolic_db, _power_ratio, _real, _whole_number
+from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _parabolic_db, _power_ratio,
+                      _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _FOUR_PI = 4.0 * math.pi
-_MAX_SAMPLES = 2**16
 
 
 class ConvergenceError(RuntimeError):
@@ -82,6 +82,8 @@ class TissueProperties:
         if isinstance(eps, bool) or not isinstance(eps, numbers.Complex):
             raise ValueError("rel_permittivity must be a complex number")
         eps = complex(_real(eps.real, "rel_permittivity"), _real(eps.imag, "rel_permittivity"))
+        if eps.imag > 0.0:
+            raise ValueError("rel_permittivity must be eps' - j*eps'' with a loss term eps'' >= 0")
         object.__setattr__(self, "rel_permittivity", eps)
         for name in ("mass_density_kg_per_m3", "penetration_depth_m"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0))

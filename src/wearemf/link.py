@@ -52,6 +52,8 @@ class LinkScenario:
     def __post_init__(self) -> None:
         if not isinstance(self.tx_antenna, AntennaConfig):
             raise ValueError("tx_antenna must be an AntennaConfig")
+        if not isinstance(self.label, str):
+            raise ValueError("label must be a string")
         for name, above in (("carrier_mhz", 0), ("bandwidth_hz", 0), ("temperature_k", 0),
                             ("tx_power_dbm", None), ("rx_gain_dbi", None),
                             ("noise_figure_db", None)):

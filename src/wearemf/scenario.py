@@ -2,9 +2,9 @@
 
 Scenario files are YAML with nested key-value sections (documented in
 the README).  Each section's keys are the fields of the record it
-builds, read with the fields' types and defaults.  Loading is strict:
-unknown keys are rejected by name, and every value passes the
-invariants of the record it lands in.
+builds, with the fields' defaults.  Loading is strict: unknown keys
+are rejected by name, an explicit null is refused, and the record a
+value lands in checks it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence, Union
 
-from .antenna import AntennaConfig, PatternModel, _is_real, _real, _whole_number
+from .antenna import _MAX_SAMPLES, AntennaConfig, PatternModel, _real, _whole_number
 from .compliance import BUILTIN_LIMITS, ComplianceLimit, _check_distances
-from .exposure import _MAX_SAMPLES, ExposureResult, QuadratureSpec, TissueProperties, _linspace
+from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
 
 __all__ = [
@@ -66,10 +66,9 @@ class SweepGrid:
         if self.distances_m is not None:
             if any(v is not None for v in linear):
                 raise ValueError("give either start/stop/points or distances_m, not both")
-            try:
-                distances = tuple(_real(d, "distances_m") for d in self.distances_m)
-            except TypeError:  # not iterable
-                raise ValueError("distances_m must be a sequence of numbers") from None
+            if not isinstance(self.distances_m, (list, tuple)):
+                raise ValueError("distances_m must be a list or tuple of numbers")
+            distances = tuple(_real(d, "distances_m") for d in self.distances_m)
             if not distances:
                 raise ValueError("distances_m must hold at least one distance")
             _check_distances(distances, "distances_m")
@@ -109,63 +108,37 @@ class ScenarioFile:
             raise ValueError("tissue must be a TissueProperties")
         if not isinstance(self.quadrature, QuadratureSpec):
             raise ValueError("quadrature must be a QuadratureSpec")
+        if not (isinstance(self.limits, (list, tuple))
+                and all(isinstance(entry, ComplianceLimit) for entry in self.limits)):
+            raise ValueError("limits must be a list or tuple of ComplianceLimit records")
         object.__setattr__(self, "limits", tuple(self.limits))
-        for entry in self.limits:
-            if not isinstance(entry, ComplianceLimit):
-                raise ValueError("limits entries must be ComplianceLimit records")
         if self.sweep_grid is not None and not isinstance(self.sweep_grid, SweepGrid):
             raise ValueError("sweep_grid must be a SweepGrid")
 
 
 def _number_hint(value) -> str:
     # YAML 1.1 reads '2.16e9' as a string: the exponent needs a sign
-    if not isinstance(value, str):
-        return ""
-    try:
-        float(value)
-    except ValueError:
-        return ""
-    return (f" (YAML reads {value!r} as a string; write the exponent with "
-            "a sign, e.g. 2.16e+9, or spell the number out)")
-
-
-def _coerce(label: str, value, kind: str):
-    """``value`` as the type a record field is annotated with.
-
-    ``kind`` is the annotation's text: the record modules postpone
-    annotations, so ``dataclasses.fields`` reports them as strings.
-    """
-    # "X | None" fields default to None when absent; a null value is rejected
-    kind = kind.removesuffix(" | None")
-    if kind in ("float", "int"):
-        if not _is_real(value):
-            raise ScenarioError(f"'{label}' must be a number{_number_hint(value)}")
-        if kind == "int":  # the record checks that it is a whole number
-            return value
+    for text in value if isinstance(value, list) else [value]:
+        if not isinstance(text, str):
+            continue
         try:
-            return float(value)
-        except OverflowError:
-            raise ScenarioError(f"'{label}' is too large for a float") from None
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ScenarioError(f"'{label}' must be a boolean")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ScenarioError(f"'{label}' must be a string")
-        return value
-    if kind == "tuple[float, ...]":
-        if not isinstance(value, list):
-            raise ScenarioError(f"'{label}' must be a list of numbers")
-        return tuple(_coerce(f"{label}[{i}]", v, "float") for i, v in enumerate(value))
-    if kind == "PatternModel":
-        name = _coerce(label, value, "str")
-        try:
-            return PatternModel(name)
+            float(text)
         except ValueError:
-            options = ", ".join(m.value for m in PatternModel)
-            raise ScenarioError(f"'{label}' must be one of: {options}") from None
-    raise AssertionError(kind)
+            continue
+        return (f" (YAML reads {text!r} as a string; write the exponent with "
+                "a sign, e.g. 2.16e+9, or spell the number out)")
+    return ""
+
+
+def _value(section: str, field: dataclasses.Field, value):
+    """``value`` for ``field``'s record: a model by its name, and no null."""
+    if value is None:
+        raise ScenarioError(f"{section}: {field.name} must not be null")
+    try:
+        return PatternModel(value) if field.type == "PatternModel" else value
+    except ValueError:
+        options = ", ".join(m.value for m in PatternModel)
+        raise ScenarioError(f"{section}: {field.name} must be one of: {options}") from None
 
 
 def _label(section: str, key) -> str:
@@ -190,8 +163,8 @@ def _record(record, section: str, raw, **given):
     """Build ``record`` from the keys of ``raw`` named after its fields.
 
     Fields passed in ``given`` are not read from ``raw``.  A present key
-    is coerced by its field's annotation, an absent one keeps the field
-    default, and a field without a default is required.
+    passes through ``_value`` to the record, an absent one keeps the
+    field default, and a field without a default is required.
     """
     raw = _mapping(section, raw)
     values = dict(given)
@@ -199,14 +172,15 @@ def _record(record, section: str, raw, **given):
         if field.name in given:
             continue
         if field.name in raw:
-            values[field.name] = _coerce(
-                _label(section, field.name), raw.pop(field.name), field.type)
+            values[field.name] = _value(section, field, raw.pop(field.name))
         elif field.default is dataclasses.MISSING:
             raise ScenarioError(f"missing required key '{_label(section, field.name)}'")
     try:
         built = record(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{section}: {exc}") from exc
+        # a record's message starts with the name of the field it refuses
+        hint = _number_hint(values.get(str(exc).partition(" ")[0]))
+        raise ScenarioError(f"{section}: {exc}{hint}") from exc
     _no_leftovers(section, raw)
     return built
 
@@ -215,14 +189,14 @@ def _parse_tissue(raw) -> TissueProperties:
     raw = _mapping("tissue", raw)
     # eps' - j*eps'': the loss term is -imag, taken as 0.0 - imag so zero stays +0.0
     default = TissueProperties.rel_permittivity
-    eps_real = _coerce("tissue.rel_permittivity_real",
-                       raw.pop("rel_permittivity_real", default.real), "float")
-    eps_imag = _coerce("tissue.rel_permittivity_imag",
-                       raw.pop("rel_permittivity_imag", 0.0 - default.imag), "float")
-    if eps_imag < 0.0:
-        raise ScenarioError("'tissue.rel_permittivity_imag' is the loss term and must be >= 0")
-    return _record(TissueProperties, "tissue", raw,
-                   rel_permittivity=complex(eps_real, -eps_imag))
+    parts = [raw.pop("rel_permittivity_real", default.real),
+             raw.pop("rel_permittivity_imag", 0.0 - default.imag)]
+    try:
+        eps = complex(_real(parts[0], "rel_permittivity_real"),
+                      -_real(parts[1], "rel_permittivity_imag"))
+    except ValueError as exc:
+        raise ScenarioError(f"tissue: {exc}{_number_hint(parts)}") from None
+    return _record(TissueProperties, "tissue", raw, rel_permittivity=eps)
 
 
 def _parse_limits(raw) -> tuple[ComplianceLimit, ...]:
@@ -236,7 +210,6 @@ def _parse_limits(raw) -> tuple[ComplianceLimit, ...]:
 
 def _parse_document(doc) -> ScenarioFile:
     top = _mapping("", doc)
-    label = _coerce("label", top.pop("label", LinkScenario.label), "str")
     link = top.pop("link", None)
     if link is None:
         raise ScenarioError("missing required section 'link'")
@@ -244,8 +217,13 @@ def _parse_document(doc) -> ScenarioFile:
     antenna = top.pop("antenna", None)
     if antenna is None:
         raise ScenarioError("missing required section 'antenna'")
-    scenario = _record(LinkScenario, "link", link,
-                       tx_antenna=_record(AntennaConfig, "antenna", antenna), label=label)
+    # label is a top-level key, set apart so that its message names no section
+    scenario = _record(LinkScenario, "link", link, label=LinkScenario.label,
+                       tx_antenna=_record(AntennaConfig, "antenna", antenna))
+    try:
+        scenario = dataclasses.replace(scenario, label=top.pop("label", scenario.label))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     tissue = _parse_tissue(top.pop("tissue", None))
     quadrature = _record(QuadratureSpec, "quadrature", top.pop("quadrature", None))
     limits = _parse_limits(top.pop("limits", None))

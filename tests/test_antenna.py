@@ -147,6 +147,13 @@ def test_rejects_non_finite_angles():
     # finite in dB, but 0 or beyond the double range as a linear gain
     dict(g_max_dbi=1.0e10),
     dict(g_max_dbi=-1.0e10),
+    # beyond the double range, and beyond the 2^16 cap of every count
+    dict(n_elements=10**400),
+    dict(n_elements=65537),
+    # only a bool selects the azimuth-flat envelope
+    dict(omni_azimuth="no"),
+    dict(omni_azimuth=1),
+    dict(omni_azimuth=None),
 ])
 def test_rejects_invalid_configs(kwargs):
     base = dict(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0)

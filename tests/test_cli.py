@@ -106,6 +106,7 @@ def write_scenario(path, section="tissue", **values):
     ("antenna", "g_max_dbi", -1.0e10),
     # k*T*B underflows to zero
     ("link", "bandwidth_hz", 1.0e-320),
+    pytest.param("antenna", "n_elements", 10**400, id="antenna-n_elements-10**400"),
 ])
 def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key, value):
     scenario = write_scenario(tmp_path / "edge.yaml", section, **{key: value})

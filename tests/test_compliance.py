@@ -48,6 +48,10 @@ def test_limit_validation():
         ComplianceLimit("bogus", 0.0)
     with pytest.raises(ValueError):
         ComplianceLimit("", 1.0)
+    with pytest.raises(ValueError):
+        ComplianceLimit(5, 2.0)
+    with pytest.raises(ValueError):
+        ComplianceLimit("X", 2.0, None)
     for bad in (True, "1", None, 10**400):
         with pytest.raises(ValueError):
             ComplianceLimit("bogus", bad)

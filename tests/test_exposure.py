@@ -352,6 +352,8 @@ def test_linspace_matches_numpy():
                                  "rel_permittivity")
       for bad in (True, "1", None, 10**400)],
     *[dict(reflection_override=bad) for bad in ("1", 10**400)],
+    # eps' - j*eps'': a positive imaginary part is a negative loss term
+    dict(rel_permittivity=complex(38.0, 10.6)),
 ])
 def test_tissue_validation(kwargs):
     with pytest.raises(ValueError):

@@ -170,6 +170,8 @@ def test_dbm_to_watts_reference():
     dict(tx_power_dbm=-1.0e10),
     # k*T*B underflows to zero
     dict(bandwidth_hz=1.0e-320),
+    dict(label=5),
+    dict(label=None),
 ])
 def test_scenario_rejects_invalid_fields(kwargs):
     base = dict(carrier_mhz=2400.0, bandwidth_hz=1e6, tx_power_dbm=0.0,

@@ -143,6 +143,8 @@ def test_defaults_fill_missing_optional_fields():
     # keys of mixed types cannot be sorted; the first in the document is named
     (MINIMAL + "1: 2\nb: 3\n", "1"),
     (MINIMAL + "tissue:\n  1: 2\n  b: 3\n", "tissue.1"),
+    # the label is a top-level key
+    (MINIMAL.replace("tx_power_dbm: 0.0", "tx_power_dbm: 0.0\n  label: x"), "link.label"),
 ])
 def test_unknown_keys_are_named(snippet, named_key):
     with pytest.raises(ScenarioError, match=re.escape(f"unknown key '{named_key}'")):
@@ -159,15 +161,30 @@ def test_missing_required_keys_are_named():
 
 
 def test_wrong_value_types_are_rejected():
-    with pytest.raises(ScenarioError, match="link.carrier_mhz"):
+    with pytest.raises(ScenarioError, match="^link: carrier_mhz must be a finite number"):
         load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: fast"))
-    with pytest.raises(ScenarioError, match="must be a number"):
+    with pytest.raises(ScenarioError, match="^link: carrier_mhz must be a finite number"):
         load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: true"))
     with pytest.raises(ScenarioError, match="omni_azimuth"):
         load_scenario(MINIMAL + "  omni_azimuth: 3\n")
     # an integer beyond the double range
-    with pytest.raises(ScenarioError, match="antenna.g_max_dbi"):
+    with pytest.raises(ScenarioError, match="^antenna: g_max_dbi must be a finite number"):
         load_scenario(MINIMAL.replace("g_max_dbi: 3.0", "g_max_dbi: 1" + "0" * 400))
+    for snippet, message in [
+        (MINIMAL + "label: 5\n", "^label must be a string$"),
+        (MINIMAL + "limits:\n  - name: 5\n    sar_limit_w_per_kg: 2.0\n",
+         r"^limits\[0\]: name must be a non-empty string$"),
+        (MINIMAL + "sweep:\n  distances_m: 0.01\n", "^sweep: distances_m must be a list"),
+        (MINIMAL.replace("model: parabolic-envelope", "model: [1]"),
+         "^antenna: model must be one of: parabolic-envelope, linear-array-factor$"),
+        # null would read as the absent key's default
+        (MINIMAL + "tissue:\n  reflection_override: null\n",
+         "^tissue: reflection_override must not be null$"),
+        (MINIMAL + "tissue:\n  rel_permittivity_real: 1" + "0" * 399 + "\n",
+         "^tissue: rel_permittivity_real must be a finite number$"),
+    ]:
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(snippet)
 
 
 def test_unsigned_exponent_gets_a_usable_hint():
@@ -216,7 +233,7 @@ def test_unconstructible_scalars_are_parse_errors(bad):
 
 
 def test_negative_permittivity_loss_is_rejected():
-    with pytest.raises(ScenarioError, match="rel_permittivity_imag"):
+    with pytest.raises(ScenarioError, match="^tissue: rel_permittivity .*loss term eps'' >= 0$"):
         load_scenario(MINIMAL + "tissue:\n  rel_permittivity_imag: -1.0\n")
 
 
@@ -303,7 +320,8 @@ _values = st.recursive(
     max_leaves=12)
 
 
-_PRESET_TEXTS = [serialize_scenario(load_preset(name)) for name in preset_names()]
+_PRESETS = [load_preset(name) for name in preset_names()]
+_PRESET_TEXTS = [serialize_scenario(loaded) for loaded in _PRESETS]
 
 
 @st.composite
@@ -331,6 +349,41 @@ def test_loader_returns_a_scenario_or_raises_scenario_error(doc):
         return
     assert isinstance(loaded, ScenarioFile)
     assert load_scenario(serialize_scenario(loaded)) == loaded
+
+
+def _replace_field(record, target, name, value):
+    """``record`` rebuilt with field ``name`` of each ``target`` record in it set to ``value``."""
+    if isinstance(record, target):
+        return dataclasses.replace(record, **{name: value})
+    if isinstance(record, tuple):
+        return tuple(_replace_field(entry, target, name, value) for entry in record)
+    if dataclasses.is_dataclass(record):
+        return dataclasses.replace(record, **{
+            field.name: _replace_field(getattr(record, field.name), target, name, value)
+            for field in dataclasses.fields(record)})
+    return record
+
+
+@st.composite
+def _one_field(draw):
+    """A record type, one of its fields and a value for it."""
+    target = draw(st.sampled_from((ScenarioFile, *_RECORDS)))
+    name = draw(st.sampled_from([field.name for field in dataclasses.fields(target)]))
+    return target, name, draw(st.one_of(_leaves, st.builds(object)))
+
+
+# a record that builds is a file that loads: the records hold every rule the loader needs
+@given(loaded=st.sampled_from(_PRESETS), change=_one_field())
+@example(loaded=_PRESETS[0], change=(LinkScenario, "label", 5))
+@example(loaded=_PRESETS[0], change=(AntennaConfig, "omni_azimuth", 1))
+@example(loaded=_PRESETS[0], change=(ComplianceLimit, "averaging_mass_note", None))
+@settings(max_examples=300, deadline=None)
+def test_a_record_that_builds_is_a_file_that_loads(loaded, change):
+    try:
+        built = _replace_field(loaded, *change)
+    except ValueError:
+        return
+    assert load_scenario(serialize_scenario(built)) == built
 
 
 def _rows():

@@ -121,50 +121,44 @@ def _whole_number(value, name: str, minimum: int, maximum: int | None = None) ->
     return whole
 
 
-def _wrap_rad(angle_rad: float) -> float:
-    # principal offset in [-pi, pi)
-    return (angle_rad + math.pi) % _TWO_PI - math.pi
+def _parabolic_dbs(angles_rad, boresight_deg: float, theta_3db_deg: float) -> list[float]:
+    """One axis's parabolic attenuation 12*(delta/theta_3db)^2 in dB, unclipped,
+    at each of ``angles_rad``.
 
-
-def _parabolic_db(config: AntennaConfig, angle_rad: float, boresight_deg: float) -> float:
-    """One axis's parabolic attenuation 12*(delta/theta_3db)^2 in dB, unclipped.
-
-    ``delta`` is the wrapped offset of ``angle_rad`` from
-    ``boresight_deg``.  The gain and the pattern average share it, so
-    both see the same terms.
+    ``delta`` is the offset of the angle from ``boresight_deg``, wrapped
+    to [-pi, pi).  The gain and the pattern average share it, so both
+    see the same terms.
     """
-    ratio = _wrap_rad(angle_rad - math.radians(boresight_deg)) / math.radians(
-        config.theta_3db_deg)
-    return 12.0 * (ratio * ratio)
+    pi, two_pi = math.pi, _TWO_PI
+    boresight, theta_3db = math.radians(boresight_deg), math.radians(theta_3db_deg)
+    return [12.0 * ((ratio := ((angle - boresight + pi) % two_pi - pi) / theta_3db) * ratio)
+            for angle in angles_rad]
 
 
-def _attenuation_db(config: AntennaConfig, theta_rad: float, phi_rad: float) -> float:
-    """Attenuation below boresight in dB, clipped to [0, sidelobe_floor_db].
-
-    Takes absolute angles in radians; a pattern that ignores an axis
-    ignores its angle.
+def _elevation_dbs(config: AntennaConfig, thetas_rad) -> list[float]:
+    """Attenuation below boresight in dB, clipped to [0, sidelobe_floor_db], at
+    each elevation of ``thetas_rad``, for a pattern that ignores azimuth: the
+    array factor, or the parabolic envelope with ``omni_azimuth`` set.
     """
     floor_db = config.sidelobe_floor_db
-
     if config.model is PatternModel.PARABOLIC_ENVELOPE:
-        att = _parabolic_db(config, theta_rad, config.boresight_elevation_deg)
-        if not config.omni_azimuth:
-            att = att + _parabolic_db(config, phi_rad, config.boresight_azimuth_deg)
-        return min(att, floor_db)
-
-    dtheta = _wrap_rad(theta_rad - math.radians(config.boresight_elevation_deg))
-    n = config.n_elements
-    x = math.pi * config.element_spacing_wavelengths * math.sin(dtheta)
-    den = math.sin(x)
-    # sin(n*x)/sin(x) -> +-n wherever sin(x) vanishes (main and grating lobes)
-    ratio = float(n) if abs(den) < _SIN_EPS else math.sin(n * x) / den
-    rel_amp = min(max(abs(ratio) / n, 10.0 ** (-floor_db / 20.0)), 1.0)
-    return min(-20.0 * math.log10(rel_amp), floor_db)
-
-
-def _power_ratio(config: AntennaConfig, theta_rad: float, phi_rad: float) -> float:
-    """Linear power gain relative to boresight, in [10^(-floor/10), 1]."""
-    return 10.0 ** (-_attenuation_db(config, theta_rad, phi_rad) / 10.0)
+        return [floor_db if floor_db < att else att for att in _parabolic_dbs(
+            thetas_rad, config.boresight_elevation_deg, config.theta_3db_deg)]
+    pi, two_pi, sin, log10, eps = math.pi, _TWO_PI, math.sin, math.log10, _SIN_EPS
+    boresight = math.radians(config.boresight_elevation_deg)
+    phase = pi * config.element_spacing_wavelengths
+    n = float(config.n_elements)
+    amp_floor = 10.0 ** (-floor_db / 20.0)
+    atts = []
+    for theta in thetas_rad:
+        x = phase * sin((theta - boresight + pi) % two_pi - pi)
+        den = sin(x)
+        # sin(n*x)/sin(x) -> +-n wherever sin(x) vanishes (main and grating lobes)
+        rel_amp = abs(n if -eps < den < eps else sin(n * x) / den) / n
+        rel_amp = amp_floor if rel_amp < amp_floor else 1.0 if rel_amp > 1.0 else rel_amp
+        att = -20.0 * log10(rel_amp)
+        atts.append(floor_db if floor_db < att else att)
+    return atts
 
 
 def gain_dbi(config: AntennaConfig, theta_deg: float, phi_deg: float = 0.0) -> float:
@@ -174,6 +168,12 @@ def gain_dbi(config: AntennaConfig, theta_deg: float, phi_deg: float = 0.0) -> f
     attenuated by the selected pattern, never by more than the
     sidelobe floor.
     """
-    att = _attenuation_db(config, math.radians(_real(theta_deg, "theta_deg")),
-                          math.radians(_real(phi_deg, "phi_deg")))
+    thetas = [math.radians(_real(theta_deg, "theta_deg"))]
+    phis = [math.radians(_real(phi_deg, "phi_deg"))]
+    if config.model is PatternModel.LINEAR_ARRAY_FACTOR or config.omni_azimuth:
+        att = _elevation_dbs(config, thetas)[0]
+    else:
+        att = min(_parabolic_dbs(thetas, config.boresight_elevation_deg, config.theta_3db_deg)[0]
+                  + _parabolic_dbs(phis, config.boresight_azimuth_deg, config.theta_3db_deg)[0],
+                  config.sidelobe_floor_db)
     return config.g_max_dbi - att

@@ -10,14 +10,15 @@ inverse-square behavior of the result exact in floating point.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
-from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _parabolic_db, _power_ratio,
+from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs, _parabolic_dbs,
                       _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
@@ -227,15 +228,16 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     order = sorted(range(last + 1), key=azimuth.__getitem__)
     ascending = [azimuth[j] for j in order]
     weights = [0.5 if j in (0, last) else 1.0 for j in order]
-    ratio_sums = _running_sums(w * 10.0 ** (-a / 10.0) for w, a in zip(weights, ascending))
-    weight_sums = _running_sums(weights)  # halves and ones: exact
+    ratio_sums = _running_sums([w * 10.0 ** (-a / 10.0) for w, a in zip(weights, ascending)])
+    weight_sums = [0.0, *accumulate(weights)]  # halves and ones: exact
+    total_weight = weight_sums[-1]
     floor_ratio = 10.0 ** (-floor_db / 10.0)
-    rows = []
-    for i, e in enumerate(elevation):
-        k = bisect.bisect_left(ascending, floor_db - e)
-        w = 0.5 if i in (0, last) else 1.0
-        rows.append(w * 10.0 ** (-e / 10.0) * ratio_sums[k])
-        rows.append(w * floor_ratio * (weight_sums[-1] - weight_sums[k]))
+    bounds = [bisect_left(ascending, floor_db - e) for e in elevation]
+    row_weights = [0.5, *[1.0] * (last - 1), 0.5]
+    rows = [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
+            for w, e, k in zip(row_weights, elevation, bounds)]
+    rows += [w * floor_ratio * (total_weight - weight_sums[k])
+             for w, k in zip(row_weights, bounds)]
     return math.fsum(rows) / (last * last)
 
 
@@ -252,11 +254,10 @@ def _pattern_means(antenna: AntennaConfig, samples: int) -> tuple[float, float]:
     """
     fine = _linspace(0.0, _TWO_PI, 2 * samples - 1)
     if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
-        ratios = [_power_ratio(antenna, theta, 0.0) for theta in fine]
+        ratios = [10.0 ** (-att / 10.0) for att in _elevation_dbs(antenna, fine)]
         return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)
-    elevation = [_parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
-                 for theta in fine]
-    azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in fine]
+    elevation = _parabolic_dbs(fine, antenna.boresight_elevation_deg, antenna.theta_3db_deg)
+    azimuth = _parabolic_dbs(fine, antenna.boresight_azimuth_deg, antenna.theta_3db_deg)
     floor_db = antenna.sidelobe_floor_db
     return (_clipped_mean(elevation[::2], azimuth[::2], floor_db),
             _clipped_mean(elevation, azimuth, floor_db))

@@ -116,17 +116,23 @@ class ScenarioFile:
             raise ValueError("sweep_grid must be a SweepGrid")
 
 
+# a decimal exponent form, which YAML 1.1 reads as a float only with a dot
+# in the mantissa and a sign in the exponent: 2.16e+9, but not 2e+9 or 2.16e9
+_EXPONENT_FORM = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))[eE]([-+]?)([0-9]+)")
+
+
 def _number_hint(value) -> str:
-    # YAML 1.1 reads '2.16e9' as a string: the exponent needs a sign
     for text in value if isinstance(value, list) else [value]:
-        if not isinstance(text, str):
+        form = _EXPONENT_FORM.fullmatch(text) if isinstance(text, str) else None
+        if form is None:
             continue
-        try:
-            float(text)
-        except ValueError:
-            continue
-        return (f" (YAML reads {text!r} as a string; write the exponent with "
-                "a sign, e.g. 2.16e+9, or spell the number out)")
+        mantissa, sign, digits = form.groups()
+        if "." in mantissa and sign:
+            continue  # a float to YAML, so it was quoted
+        dot = "" if "." in mantissa else ".0"
+        return (f" (YAML reads {text!r} as a string; write the mantissa with a dot and the "
+                f"exponent with a sign, as in {mantissa}{dot}e{sign or '+'}{digits}, or spell "
+                "the number out)")
     return ""
 
 

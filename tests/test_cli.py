@@ -120,6 +120,24 @@ def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key
         assert key in lines[0]
 
 
+@pytest.mark.parametrize("value, written", [
+    # YAML 1.1 reads these as strings: a float needs a dot and a signed exponent
+    ("2e+9", "2.0e+9"), ("2e9", "2.0e+9"), ("2.16e9", "2.16e+9"),
+    # strings too, but no exponent can mend them; nor can it mend a quoted float
+    ("nan", None), ("inf", None), ("'2.16e+9'", None),
+])
+def test_only_exponent_forms_that_yaml_reads_as_strings_get_the_hint(tmp_path, value, written):
+    text = serialize_scenario(load_preset("wearable-60ghz"))
+    scenario = tmp_path / "hint.yaml"
+    scenario.write_text(text.replace("bandwidth_hz: 2160000000.0", f"bandwidth_hz: {value}"))
+    code, out, err = run_cli("sweep", "--scenario", str(scenario))
+    message = "error: link: bandwidth_hz must be a finite number > 0"
+    if written is not None:
+        message += (f" (YAML reads {value!r} as a string; write the mantissa with a dot and "
+                    f"the exponent with a sign, as in {written}, or spell the number out)")
+    assert (code, out, err.decode()) == (1, b"", message + "\n")
+
+
 def test_a_file_that_is_not_utf8_is_named_with_the_position(tmp_path):
     bad = tmp_path / "latin1.yaml"
     bad.write_bytes(b"label: x\n\xff\n")

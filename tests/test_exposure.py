@@ -16,6 +16,8 @@ from wearemf import (
     TissueProperties,
     db_to_linear,
     dbm_to_watts,
+    gain_dbi,
+    load_preset,
     power_density,
     reflection_coefficient,
     sar_avg,
@@ -303,25 +305,189 @@ def test_the_refined_mean_is_the_mean_on_the_doubled_grid(kind):
 
 @pytest.mark.parametrize("kind", ["array", "omni", "2d"])
 def test_the_mean_gain_evaluates_the_pattern_once_on_the_doubled_grid(kind, monkeypatch):
-    calls = []
+    points = []
+    elevation_dbs, parabolic_dbs = exposure._elevation_dbs, exposure._parabolic_dbs
 
-    def counted(evaluate):
-        def wrapper(*args):
-            calls.append(args)
-            return evaluate(*args)
-        return wrapper
+    def counted_elevation_dbs(config, thetas_rad):
+        points.extend(thetas_rad)
+        return elevation_dbs(config, thetas_rad)
 
-    monkeypatch.setattr(exposure, "_power_ratio", counted(exposure._power_ratio))
-    monkeypatch.setattr(exposure, "_parabolic_db", counted(exposure._parabolic_db))
+    def counted_parabolic_dbs(angles_rad, *axis):
+        points.extend(angles_rad)
+        return parabolic_dbs(angles_rad, *axis)
+
+    monkeypatch.setattr(exposure, "_elevation_dbs", counted_elevation_dbs)
+    monkeypatch.setattr(exposure, "_parabolic_dbs", counted_parabolic_dbs)
     # a design no other test uses, so that the pattern cache misses
     antenna = _design(random.Random(f"once-{kind}"), kind)
     # the count is under test, not the accuracy of a random design
     quadrature = QuadratureSpec(samples_per_axis=181, convergence_tol=1.0)
-    once = (2 if kind == "2d" else 1) * (2 * 181 - 1)  # 2-D: one call per axis
+    axes = 2 if kind == "2d" else 1  # 2-D: one pass per axis
     first = _mean_gain(antenna, quadrature)
-    assert len(calls) == once
+    assert points == axes * _linspace(0.0, 2.0 * math.pi, 2 * 181 - 1)
     assert _mean_gain(antenna, quadrature) == first
-    assert len(calls) == once
+    assert len(points) == axes * (2 * 181 - 1)
+
+
+# The scalar pattern helpers as first written, kept as the byte-level
+# reference for the grid kernels and the gain: every term must be equal.
+def _wrap_rad(angle_rad):
+    return (angle_rad + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _parabolic_db(config, angle_rad, boresight_deg):
+    ratio = _wrap_rad(angle_rad - math.radians(boresight_deg)) / math.radians(
+        config.theta_3db_deg)
+    return 12.0 * (ratio * ratio)
+
+
+def _attenuation_db(config, theta_rad, phi_rad):
+    floor_db = config.sidelobe_floor_db
+    if config.model is PatternModel.PARABOLIC_ENVELOPE:
+        att = _parabolic_db(config, theta_rad, config.boresight_elevation_deg)
+        if not config.omni_azimuth:
+            att = att + _parabolic_db(config, phi_rad, config.boresight_azimuth_deg)
+        return min(att, floor_db)
+    dtheta = _wrap_rad(theta_rad - math.radians(config.boresight_elevation_deg))
+    n = config.n_elements
+    x = math.pi * config.element_spacing_wavelengths * math.sin(dtheta)
+    den = math.sin(x)
+    ratio = float(n) if abs(den) < 1e-12 else math.sin(n * x) / den
+    rel_amp = min(max(abs(ratio) / n, 10.0 ** (-floor_db / 20.0)), 1.0)
+    return min(-20.0 * math.log10(rel_amp), floor_db)
+
+
+def _power_ratio(config, theta_rad, phi_rad):
+    return 10.0 ** (-_attenuation_db(config, theta_rad, phi_rad) / 10.0)
+
+
+def _reference_means(antenna, samples):
+    """``_pattern_means`` with every pattern term taken from the scalar reference."""
+    fine = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
+    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
+        ratios = [_power_ratio(antenna, theta, 0.0) for theta in fine]
+        return exposure._trapezoid_mean(ratios[::2]), exposure._trapezoid_mean(ratios)
+    elevation = [_parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
+                 for theta in fine]
+    azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in fine]
+    floor_db = antenna.sidelobe_floor_db
+    return (exposure._clipped_mean(elevation[::2], azimuth[::2], floor_db),
+            exposure._clipped_mean(elevation, azimuth, floor_db))
+
+
+def _edge_designs(rng, count):
+    """Seeded designs of all three kinds that reach the pattern's edge cases."""
+    designs = [
+        # one element, and elements at one point: every direction is boresight
+        AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=3.0, n_elements=1),
+        AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=3.0, n_elements=8,
+                      element_spacing_wavelengths=0.0),
+        # one wavelength apart: grating lobes where sin(x) vanishes
+        AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=3.0, n_elements=8,
+                      element_spacing_wavelengths=1.0, boresight_elevation_deg=-270.0),
+    ]
+    while len(designs) < count:
+        kind = rng.choice(["array", "omni", "2d"])
+        floor_db = rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 60.0)])
+        elevation, azimuth = rng.uniform(-540.0, 540.0), rng.uniform(-540.0, 540.0)
+        if kind == "array":
+            designs.append(AntennaConfig(
+                model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=12.0,
+                n_elements=rng.randint(1, 64),
+                element_spacing_wavelengths=rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)]),
+                sidelobe_floor_db=floor_db, boresight_elevation_deg=elevation))
+        else:
+            designs.append(AntennaConfig(
+                model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+                theta_3db_deg=rng.uniform(1.0, 180.0), sidelobe_floor_db=floor_db,
+                boresight_elevation_deg=elevation, boresight_azimuth_deg=azimuth,
+                omni_azimuth=kind == "omni"))
+    return designs
+
+
+def test_the_grating_lobe_designs_reach_the_vanishing_denominator():
+    antenna = _edge_designs(random.Random(0), 3)[2]
+    fine = _linspace(0.0, 2.0 * math.pi, 2 * 181 - 1)
+    boresight = math.radians(antenna.boresight_elevation_deg)
+    assert any(abs(math.sin(math.pi * math.sin(_wrap_rad(theta - boresight)))) < 1e-12
+               for theta in fine)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 17, 181, 361])
+def test_means_and_gains_equal_the_scalar_reference(samples):
+    rng = random.Random(f"scalar-{samples}")
+    for antenna in _edge_designs(rng, 40):
+        assert _pattern_means(antenna, samples) == _reference_means(antenna, samples), antenna
+        for _ in range(10):
+            theta = rng.choice([rng.uniform(-720.0, 720.0), antenna.boresight_elevation_deg,
+                                antenna.boresight_elevation_deg + 90.0])
+            phi = rng.choice([rng.uniform(-720.0, 720.0), antenna.boresight_azimuth_deg])
+            want = antenna.g_max_dbi - _attenuation_db(antenna, math.radians(theta),
+                                                       math.radians(phi))
+            assert gain_dbi(antenna, theta, phi) == want, (antenna, theta, phi)
+
+
+def test_the_kernels_equal_the_scalar_reference_at_every_point():
+    rng = random.Random("kernels")
+    angles = [*_linspace(0.0, 2.0 * math.pi, 721), *(rng.uniform(-20.0, 20.0) for _ in range(200))]
+    for antenna in _edge_designs(rng, 60):
+        if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
+            assert exposure._elevation_dbs(antenna, angles) == \
+                [_attenuation_db(antenna, theta, 0.0) for theta in angles], antenna
+        for boresight in (antenna.boresight_elevation_deg, antenna.boresight_azimuth_deg):
+            assert exposure._parabolic_dbs(angles, boresight, antenna.theta_3db_deg) == \
+                [_parabolic_db(antenna, angle, boresight) for angle in angles], antenna
+
+
+def _closed_form_mean(antenna):
+    """Exact mean of the clipped parabolic envelope over [0, 2*pi]^2, by erf.
+
+    With c = 1.2*ln(10)/theta_3db^2 the unclipped ratio is exp(-c*delta^2),
+    and the floor clips it beyond delta_c = theta_3db*sqrt(F/12).
+    """
+    theta_3db = math.radians(antenna.theta_3db_deg)
+    floor_db = antenna.sidelobe_floor_db
+    c = 1.2 * math.log(10.0) / (theta_3db * theta_3db)
+    delta_c = theta_3db * math.sqrt(floor_db / 12.0)
+    floor_ratio = 10.0 ** (-floor_db / 10.0)
+    if antenna.omni_azimuth:
+        assert delta_c < math.pi
+        return (math.sqrt(math.pi / c) * math.erf(math.sqrt(c) * delta_c)
+                + 2.0 * (math.pi - delta_c) * floor_ratio) / (2.0 * math.pi)
+    # equal beamwidths: the unclipped region is a disc of radius delta_c
+    assert delta_c <= math.pi
+    area = 4.0 * math.pi ** 2
+    return ((math.pi / c) * (1.0 - math.exp(-c * delta_c * delta_c))
+            + floor_ratio * (area - math.pi * delta_c * delta_c)) / area
+
+
+@pytest.mark.parametrize("kind", ["omni", "2d"])
+def test_the_default_grid_meets_its_tolerance_against_the_closed_form(kind):
+    default = QuadratureSpec()
+    rng = random.Random(f"erf-{kind}")
+    checked = 0
+    while checked < 40:
+        theta_3db, floor_db = rng.uniform(5.0, 180.0), rng.uniform(0.5, 60.0)
+        if math.radians(theta_3db) * math.sqrt(floor_db / 12.0) >= math.pi:
+            continue  # the floor would not clip within a turn
+        antenna = AntennaConfig(
+            model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0, theta_3db_deg=theta_3db,
+            sidelobe_floor_db=floor_db, boresight_elevation_deg=rng.uniform(-540.0, 540.0),
+            boresight_azimuth_deg=rng.uniform(-540.0, 540.0), omni_azimuth=kind == "omni")
+        exact = _closed_form_mean(antenna)
+        got, _ = _pattern_means(antenna, default.samples_per_axis)
+        assert abs(got - exact) <= default.convergence_tol * exact, antenna
+        checked += 1
+
+
+def test_the_true_error_of_the_default_grid_is_pinned():
+    antenna = load_preset("wearable-2.4ghz").scenario.tx_antenna
+    exact = _closed_form_mean(antenna)
+    assert (_pattern_means(antenna, 361)[0] - exact) / exact == pytest.approx(-1.169e-7, rel=1e-3)
+    antenna = AntennaConfig(model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+                            theta_3db_deg=60.0, sidelobe_floor_db=25.0)
+    exact = _closed_form_mean(antenna)
+    assert (_pattern_means(antenna, 361)[0] - exact) / exact == pytest.approx(2.199e-7, rel=1e-3)
 
 
 def test_linspace_matches_numpy():

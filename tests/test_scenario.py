@@ -339,7 +339,31 @@ def _documents(draw):
     return doc
 
 
-@given(doc=st.one_of(_documents(), st.dictionaries(_keys, _values, max_size=6)))
+def _like(value):
+    """Values of ``value``'s kind near it, which the field that holds ``value`` mostly accepts."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(2, 64)
+    if isinstance(value, float):
+        return st.floats(0.5, 2.0).map(value.__mul__) if value else st.floats(-1.0, 1.0)
+    models = [m.value for m in PatternModel]
+    return st.sampled_from(models) if value in models else st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _accepted_edits(draw):
+    # a preset with a few values redrawn as their fields accept, so that most documents load
+    doc = yaml.safe_load(draw(st.sampled_from(_PRESET_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        section = doc[draw(st.sampled_from([key for key in doc if isinstance(doc[key], dict)]))]
+        key = draw(st.sampled_from(sorted(section)))
+        section[key] = draw(_like(section[key]))
+    return doc
+
+
+@given(doc=st.one_of(_documents(), _accepted_edits(),
+                     st.dictionaries(_keys, _values, max_size=6)))
 @settings(max_examples=300, deadline=None)
 def test_loader_returns_a_scenario_or_raises_scenario_error(doc):
     text = yaml.safe_dump(doc)

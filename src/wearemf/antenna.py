@@ -65,6 +65,12 @@ class AntennaConfig:
             raise ValueError("omni_azimuth must be a boolean")
         if self.element_spacing_wavelengths < 0.0:
             raise ValueError("element_spacing_wavelengths must be >= 0")
+        # the array factor takes sin() of phases up to n * (pi * spacing)
+        phase = math.pi * self.element_spacing_wavelengths
+        if self.model is PatternModel.LINEAR_ARRAY_FACTOR and \
+                not math.isfinite(self.n_elements * phase):
+            raise ValueError("element_spacing_wavelengths must keep n_elements * pi * "
+                             "element_spacing_wavelengths a finite double")
         if not 0.0 < self.theta_3db_deg <= 180.0:
             raise ValueError("theta_3db_deg must lie in (0, 180]")
         if not 0.0 < _linear(self.g_max_dbi) < math.inf:

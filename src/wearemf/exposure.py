@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -221,21 +221,43 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
 
     Sorted by a_j, the pairs of row i that stay above the floor are a
     prefix, the a_j below floor_db - e_i; so one bisect into prefix sums
-    of w_j * 10^(-a_j/10) and of w_j gives the row, O(n log n) in all.
-    The rows are summed exactly.
+    of w_j * 10^(-a_j/10) and of w_j gives the row.  The inner rows, all
+    of weight 1, are sorted by e_i too, and two bisections split them in
+    three: rows clipped in every pair each add the floor times the total
+    weight, rows clipped in no pair each add 10^(-e_i/10) times the full
+    prefix sum, and only the rows in between, with the two half-weight
+    end rows, are bisected.  O(n log n) time and O(n) memory; the row
+    terms are summed exactly.
     """
     last = len(azimuth) - 1
-    order = sorted(range(last + 1), key=azimuth.__getitem__)
-    ascending = [azimuth[j] for j in order]
-    weights = [0.5 if j in (0, last) else 1.0 for j in order]
-    ratio_sums = _running_sums([w * 10.0 ** (-a / 10.0) for w, a in zip(weights, ascending)])
+    ascending = sorted(azimuth)
+    # a stable sort by a_j puts the half-weight end columns j = 0 first and
+    # j = last last among equal values
+    halves = (bisect_left(ascending, azimuth[0]), bisect_right(ascending, azimuth[last]) - 1)
+    # no row reaches beyond the threshold of the lowest elevation
+    reach = bisect_left(ascending, floor_db - min(elevation))
+    ratios = [10.0 ** (-a / 10.0) for a in ascending[:reach]]
+    weights = [1.0] * reach
+    for j in halves:
+        if j < reach:
+            ratios[j] *= 0.5
+            weights[j] = 0.5
+    ratio_sums = _running_sums(ratios)
     weight_sums = [0.0, *accumulate(weights)]  # halves and ones: exact
-    total_weight = weight_sums[-1]
+    total_weight = float(last)
     floor_ratio = 10.0 ** (-floor_db / 10.0)
-    bounds = [bisect_left(ascending, floor_db - e) for e in elevation]
-    row_weights = [0.5, *[1.0] * (last - 1), 0.5]
-    rows = [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
-            for w, e, k in zip(row_weights, elevation, bounds)]
+    inner = sorted(elevation[1:last])
+    # e - floor_db is exactly -(floor_db - e) and rises with e: the rows clipped in
+    # no pair come first, those clipped in every pair last
+    unclipped = bisect_left(inner, -ascending[-1], key=lambda e: e - floor_db)
+    clipped = bisect_left(inner, -ascending[0], key=lambda e: e - floor_db)
+    rows = [floor_ratio * total_weight] * (last - 1 - clipped)
+    rows += [10.0 ** (-e / 10.0) * ratio_sums[-1] for e in inner[:unclipped]]
+    partial = [elevation[0], elevation[last], *inner[unclipped:clipped]]
+    row_weights = [0.5, 0.5, *[1.0] * (clipped - unclipped)]
+    bounds = [bisect_left(ascending, floor_db - e) for e in partial]
+    rows += [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
+             for w, e, k in zip(row_weights, partial, bounds)]
     rows += [w * floor_ratio * (total_weight - weight_sums[k])
              for w, k in zip(row_weights, bounds)]
     return math.fsum(rows) / (last * last)

@@ -150,6 +150,9 @@ def test_rejects_non_finite_angles():
     # beyond the double range, and beyond the 2^16 cap of every count
     dict(n_elements=10**400),
     dict(n_elements=65537),
+    # n * pi * spacing beyond the double range: the array factor's phase
+    dict(element_spacing_wavelengths=1.0e308),
+    dict(element_spacing_wavelengths=1.0e304, n_elements=65536),
     # only a bool selects the azimuth-flat envelope
     dict(omni_azimuth="no"),
     dict(omni_azimuth=1),
@@ -160,6 +163,12 @@ def test_rejects_invalid_configs(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         AntennaConfig(**base)
+
+
+def test_only_the_array_factor_bounds_its_phase_by_the_spacing():
+    # the envelope never reads the spacing
+    AntennaConfig(PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=10.0,
+                  element_spacing_wavelengths=1.0e308)
 
 
 def test_integral_float_element_count_is_stored_as_int():

@@ -107,6 +107,8 @@ def write_scenario(path, section="tissue", **values):
     # k*T*B underflows to zero
     ("link", "bandwidth_hz", 1.0e-320),
     pytest.param("antenna", "n_elements", 10**400, id="antenna-n_elements-10**400"),
+    # the array factor's phase n * pi * spacing overflows
+    ("antenna", "element_spacing_wavelengths", 1.0e308),
 ])
 def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key, value):
     scenario = write_scenario(tmp_path / "edge.yaml", section, **{key: value})

@@ -1,5 +1,8 @@
 """Power density, reflection, boundary SAR, and the angle-averaged SAR."""
 
+import bisect
+import dataclasses
+import itertools
 import math
 import random
 
@@ -361,6 +364,38 @@ def _power_ratio(config, theta_rad, phi_rad):
     return 10.0 ** (-_attenuation_db(config, theta_rad, phi_rad) / 10.0)
 
 
+# The clipped 2-D mean as first written, index-sorted with every row bisected,
+# kept as the byte-level reference for the sorted-row version.
+def _reference_running_sums(values):
+    sums = [0.0]
+    total = lost = 0.0
+    for value in values:
+        step = total + value
+        lost += (total - step) + value if total >= value else (value - step) + total
+        total = step
+        sums.append(total + lost)
+    return sums
+
+
+def _reference_clipped_mean(elevation, azimuth, floor_db):
+    last = len(azimuth) - 1
+    order = sorted(range(last + 1), key=azimuth.__getitem__)
+    ascending = [azimuth[j] for j in order]
+    weights = [0.5 if j in (0, last) else 1.0 for j in order]
+    ratio_sums = _reference_running_sums(
+        [w * 10.0 ** (-a / 10.0) for w, a in zip(weights, ascending)])
+    weight_sums = [0.0, *itertools.accumulate(weights)]
+    total_weight = weight_sums[-1]
+    floor_ratio = 10.0 ** (-floor_db / 10.0)
+    bounds = [bisect.bisect_left(ascending, floor_db - e) for e in elevation]
+    row_weights = [0.5, *[1.0] * (last - 1), 0.5]
+    rows = [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
+            for w, e, k in zip(row_weights, elevation, bounds)]
+    rows += [w * floor_ratio * (total_weight - weight_sums[k])
+             for w, k in zip(row_weights, bounds)]
+    return math.fsum(rows) / (last * last)
+
+
 def _reference_means(antenna, samples):
     """``_pattern_means`` with every pattern term taken from the scalar reference."""
     fine = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
@@ -371,8 +406,8 @@ def _reference_means(antenna, samples):
                  for theta in fine]
     azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in fine]
     floor_db = antenna.sidelobe_floor_db
-    return (exposure._clipped_mean(elevation[::2], azimuth[::2], floor_db),
-            exposure._clipped_mean(elevation, azimuth, floor_db))
+    return (_reference_clipped_mean(elevation[::2], azimuth[::2], floor_db),
+            _reference_clipped_mean(elevation, azimuth, floor_db))
 
 
 def _edge_designs(rng, count):
@@ -425,6 +460,51 @@ def test_means_and_gains_equal_the_scalar_reference(samples):
             want = antenna.g_max_dbi - _attenuation_db(antenna, math.radians(theta),
                                                        math.radians(phi))
             assert gain_dbi(antenna, theta, phi) == want, (antenna, theta, phi)
+
+
+def _row_classes(antenna, samples):
+    """Which cases of the clipped 2-D mean ``antenna`` reaches on ``samples`` points:
+    tied end columns, every inner row clipped in every pair, and every inner row
+    clipped in none."""
+    grid = _linspace(0.0, 2.0 * math.pi, samples)
+    elevation = [_parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
+                 for theta in grid]
+    azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in grid]
+    floor_db, inner = antenna.sidelobe_floor_db, elevation[1:-1]
+    return (azimuth[0] == azimuth[-1],
+            bool(inner) and all(floor_db - e <= min(azimuth) for e in inner),
+            bool(inner) and all(floor_db - e > max(azimuth) for e in inner))
+
+
+@pytest.mark.parametrize("samples", [2, 3, 17, 181])
+def test_the_sorted_row_mean_equals_the_index_sorted_reference(samples):
+    rng = random.Random(f"rows-{samples}")
+    reached = []
+    for azimuth in (0.0, 180.0, 360.0, -180.0, rng.uniform(-540.0, 540.0)):
+        for floor_db, theta_3db in ((0.01, rng.uniform(1.0, 180.0)),  # every row clipped
+                                    (1.0e6, 180.0),  # no row clipped
+                                    (rng.uniform(0.01, 60.0), rng.uniform(1.0, 180.0))):
+            antenna = AntennaConfig(
+                model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+                theta_3db_deg=theta_3db, sidelobe_floor_db=floor_db,
+                boresight_elevation_deg=rng.choice([0.0, 180.0, rng.uniform(-540.0, 540.0)]),
+                boresight_azimuth_deg=azimuth)
+            assert _pattern_means(antenna, samples) == _reference_means(antenna, samples), \
+                antenna
+            reached += [_row_classes(antenna, samples), _row_classes(antenna, 2 * samples - 1)]
+        # a row whose threshold floor - e is exactly the largest a, on the border of
+        # the rows clipped in no pair
+        grid = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
+        largest = max(_parabolic_db(antenna, phi, azimuth) for phi in grid)
+        for theta in grid[1:-1]:
+            e = _parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
+            if 0.0 < e + largest and (e + largest) - e == largest:
+                antenna = dataclasses.replace(antenna, sidelobe_floor_db=e + largest)
+                assert _pattern_means(antenna, samples) == \
+                    _reference_means(antenna, samples), antenna
+                break
+    for case in range(3):
+        assert any(classes[case] for classes in reached), case
 
 
 def test_the_kernels_equal_the_scalar_reference_at_every_point():
@@ -488,6 +568,74 @@ def test_the_true_error_of_the_default_grid_is_pinned():
                             theta_3db_deg=60.0, sidelobe_floor_db=25.0)
     exact = _closed_form_mean(antenna)
     assert (_pattern_means(antenna, 361)[0] - exact) / exact == pytest.approx(2.199e-7, rel=1e-3)
+
+
+def _array_factor_mean(antenna):
+    """True mean of the clipped array-factor power over a turn, by mpmath.quad.
+
+    The clipped power max((sin(n*x) / (n*sin(x)))^2, 10^(-F/10)), with
+    x = pi*s*sin(theta - b), is smooth between the angles where a lobe
+    crosses the floor; those are found by bisection from a fine sampling,
+    and each piece above the floor is integrated on its own.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n, b = antenna.n_elements, math.radians(antenna.boresight_elevation_deg)
+    phase = math.pi * antenna.element_spacing_wavelengths
+    floor_ratio = 10.0 ** (-antenna.sidelobe_floor_db / 10.0)
+
+    def above(theta):
+        x = phase * math.sin(theta - b)
+        return (1.0 if x == 0.0 else (math.sin(n * x) / (n * math.sin(x))) ** 2) > floor_ratio
+
+    def power(theta):
+        x = phase * mpmath.sin(theta - b)
+        return 1 if x == 0 else (mpmath.sin(n * x) / (n * mpmath.sin(x))) ** 2
+
+    two_pi = 2.0 * math.pi
+    grid = [two_pi * i / 8192 for i in range(8193)]
+    breaks = [0.0]
+    for lo, hi in zip(grid, grid[1:]):
+        side = above(lo)
+        if above(hi) != side:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if above(mid) == side else (lo, mid)
+            breaks.append(0.5 * (lo + hi))
+    breaks.append(two_pi)
+    total = mpmath.fsum(mpmath.quad(power, [lo, hi]) if above(0.5 * (lo + hi))
+                        else floor_ratio * (hi - lo) for lo, hi in zip(breaks, breaks[1:]))
+    return float(total / two_pi)
+
+
+def test_the_array_factor_oracle_equals_the_bessel_series():
+    # with the floor far below every sidelobe the mean is
+    # 1/n + (2/n^2) * sum_k (n - k) * J0(2*pi*s*k)
+    mpmath = pytest.importorskip("mpmath")
+    for n, spacing in ((4, 0.5), (9, 0.3)):
+        antenna = AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=12.0,
+                                n_elements=n, element_spacing_wavelengths=spacing,
+                                sidelobe_floor_db=300.0, boresight_elevation_deg=7.0)
+        series = 1.0 / n + 2.0 / n**2 * float(mpmath.fsum(
+            (n - k) * mpmath.besselj(0, 2.0 * math.pi * spacing * k) for k in range(1, n)))
+        assert _array_factor_mean(antenna) == pytest.approx(series, rel=1e-9, abs=0.0)
+
+
+def test_the_default_grid_meets_its_tolerance_against_the_array_factor_oracle():
+    default = QuadratureSpec()
+    rng = random.Random("array-oracle")
+    for _ in range(10):
+        # within design-scan's array designs on the default grid
+        antenna = AntennaConfig(
+            model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=12.0,
+            n_elements=rng.randint(2, 16), element_spacing_wavelengths=rng.uniform(0.25, 0.5),
+            sidelobe_floor_db=rng.uniform(20.0, 35.0),
+            boresight_elevation_deg=rng.uniform(-10.0, 10.0))
+        exact = _array_factor_mean(antenna)
+        got, _ = _pattern_means(antenna, default.samples_per_axis)
+        assert abs(got - exact) <= default.convergence_tol * exact, antenna
+    antenna = load_preset("wearable-60ghz").scenario.tx_antenna
+    exact = _array_factor_mean(antenna)
+    assert (_pattern_means(antenna, 361)[0] - exact) / exact == pytest.approx(-2.281e-4, rel=1e-3)
 
 
 def test_linspace_matches_numpy():

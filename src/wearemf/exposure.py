@@ -222,12 +222,11 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     Sorted by a_j, the pairs of row i that stay above the floor are a
     prefix, the a_j below floor_db - e_i; so one bisect into prefix sums
     of w_j * 10^(-a_j/10) and of w_j gives the row.  The inner rows, all
-    of weight 1, are sorted by e_i too, and two bisections split them in
-    three: rows clipped in every pair each add the floor times the total
-    weight, rows clipped in no pair each add 10^(-e_i/10) times the full
-    prefix sum, and only the rows in between, with the two half-weight
-    end rows, are bisected.  O(n log n) time and O(n) memory; the row
-    terms are summed exactly.
+    of weight 1, are sorted by e_i too, and one bisection splits off the
+    rows clipped in every pair, which each add the floor times the total
+    weight; only the other rows, with the two half-weight end rows, are
+    bisected.  O(n log n) time and O(n) memory; the row terms are summed
+    exactly.
     """
     last = len(azimuth) - 1
     ascending = sorted(azimuth)
@@ -248,13 +247,11 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     floor_ratio = 10.0 ** (-floor_db / 10.0)
     inner = sorted(elevation[1:last])
     # e - floor_db is exactly -(floor_db - e) and rises with e: the rows clipped in
-    # no pair come first, those clipped in every pair last
-    unclipped = bisect_left(inner, -ascending[-1], key=lambda e: e - floor_db)
+    # every pair come last
     clipped = bisect_left(inner, -ascending[0], key=lambda e: e - floor_db)
     rows = [floor_ratio * total_weight] * (last - 1 - clipped)
-    rows += [10.0 ** (-e / 10.0) * ratio_sums[-1] for e in inner[:unclipped]]
-    partial = [elevation[0], elevation[last], *inner[unclipped:clipped]]
-    row_weights = [0.5, 0.5, *[1.0] * (clipped - unclipped)]
+    partial = [elevation[0], elevation[last], *inner[:clipped]]
+    row_weights = [0.5, 0.5, *[1.0] * clipped]
     bounds = [bisect_left(ascending, floor_db - e) for e in partial]
     rows += [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
              for w, e, k in zip(row_weights, partial, bounds)]

@@ -492,8 +492,8 @@ def test_the_sorted_row_mean_equals_the_index_sorted_reference(samples):
             assert _pattern_means(antenna, samples) == _reference_means(antenna, samples), \
                 antenna
             reached += [_row_classes(antenna, samples), _row_classes(antenna, 2 * samples - 1)]
-        # a row whose threshold floor - e is exactly the largest a, on the border of
-        # the rows clipped in no pair
+        # a row whose threshold floor - e is exactly the largest a, so its bisection
+        # stops at the last column rather than past it
         grid = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
         largest = max(_parabolic_db(antenna, phi, azimuth) for phi in grid)
         for theta in grid[1:-1]:

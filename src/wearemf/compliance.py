@@ -6,20 +6,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .antenna import _real, gain_dbi
-from .exposure import (
-    _FOUR_PI,
-    ExposureResult,
-    QuadratureSpec,
-    TissueProperties,
-    _mean_gain,
-    power_density,
-    reflection_coefficient,
-    sar_avg,
-    sar_boundary,
-)
-from .link import (_LN2, LinkScenario, db_to_linear, dbm_to_watts, fspl_db, noise_power_dbm,
-                   shannon_rate_bps)
+from .antenna import _real
+from .exposure import (_FOUR_PI, ExposureResult, QuadratureSpec, TissueProperties, _boundary_sar,
+                       _Chain, _power_density)
+from .link import _LN2, LinkScenario, noise_power_dbm, shannon_rate_bps
 
 __all__ = [
     "ComplianceLimit",
@@ -104,13 +94,14 @@ def min_safe_distance(
     threshold = limit.sar_limit_w_per_kg
     lo = search.d_lo_m
     hi = search.d_hi_m
+    chain = _Chain(scenario, tissue, quadrature)
     # the far end first: an unreachable limit outranks a near end too
     # close to evaluate
-    if sar_avg(scenario, tissue, hi, quadrature) > threshold:
+    if chain.sar_avg(hi) > threshold:
         raise LimitUnreachableError(
             f"averaged SAR still exceeds {threshold} W/kg ({limit.name}) "
             f"at the far end of the search range, {hi} m")
-    sar_lo = sar_avg(scenario, tissue, lo, quadrature)
+    sar_lo = chain.sar_avg(lo)
     if sar_lo <= threshold:
         return COMPLIANT_EVERYWHERE
     d = lo * math.sqrt(sar_lo / threshold)
@@ -120,7 +111,7 @@ def min_safe_distance(
             f"large to extrapolate to the {limit.name} crossing")
     d = min(hi, d)
     for _ in range(_MAX_STEPS):
-        if sar_avg(scenario, tissue, d, quadrature) <= threshold:
+        if chain.sar_avg(d) <= threshold:
             return d
         d = math.nextafter(d, hi)
     raise FloatingPointError(
@@ -158,40 +149,28 @@ def sweep(
     operation order.
     """
     _check_distances(distances, "distances")
-    antenna = scenario.tx_antenna
-    boresight_gain_db = gain_dbi(antenna, antenna.boresight_elevation_deg,
-                                 antenna.boresight_azimuth_deg)
-    boresight_gain = db_to_linear(boresight_gain_db)
-    tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
-    # summed in snr_db's order, so each row's SNR is bit-identical to it
-    budget_dbm = scenario.tx_power_dbm + boresight_gain_db + scenario.rx_gain_dbi
+    chain = _Chain(scenario, tissue, quadrature)
+    # snr_db's sum in its order, and gain_dbi is g_max_dbi at boresight: equal SNRs
+    budget_dbm = scenario.tx_power_dbm + scenario.tx_antenna.g_max_dbi + scenario.rx_gain_dbi
     noise_dbm = noise_power_dbm(scenario.bandwidth_hz, scenario.noise_figure_db,
                                 scenario.temperature_k)
-    mean_gain = _mean_gain(antenna, quadrature)
+    carrier_db = 20.0 * math.log10(scenario.carrier_mhz)
+    pg_boresight, pg_mean = chain.pg_boresight, chain.pg_mean
+    transmitted, slab = chain.transmitted, chain.slab
 
     bandwidth = scenario.bandwidth_hz
-    # the nearest row alone can overflow; check it through the scalar chain
+    # the nearest row alone can overflow; check it in the scalar chain's order
     for d in distances[:1]:
-        snr = budget_dbm - fspl_db(d, scenario.carrier_mhz) - noise_dbm
-        pd_boresight = power_density(tx_power_w, boresight_gain, d)
-        pd_mean = power_density(tx_power_w, mean_gain, d)
+        pds = [_power_density(pg, d) for pg in (pg_boresight, pg_mean)]
+        snr = budget_dbm - (20.0 * math.log10(d) + carrier_db - 27.55) - noise_dbm
         try:
             shannon_rate_bps(bandwidth, snr)
         except OverflowError as exc:
             raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
                                 "for the Shannon rate") from exc
-        try:
-            sar_boundary(pd_boresight, tissue)
-            sar_boundary(pd_mean, tissue)
-        except OverflowError as exc:
-            raise OverflowError(f"{exc} at distance {d!r} m") from None
+        for pd in pds:
+            _boundary_sar(pd, transmitted, slab, d)
 
-    carrier_db = 20.0 * math.log10(scenario.carrier_mhz)
-    pg_boresight = tx_power_w * boresight_gain
-    pg_mean = tx_power_w * mean_gain
-    gamma = reflection_coefficient(tissue)
-    transmitted = 1.0 - gamma * gamma
-    slab = tissue.penetration_depth_m * tissue.mass_density_kg_per_m3
     rows: list[ExposureResult] = []
     for d in distances:
         loss = 20.0 * math.log10(d) + carrier_db - 27.55

@@ -133,11 +133,13 @@ def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> f
     """
     tx_power_w = _real(tx_power_w, "tx_power_w", 0)
     gain_linear = _real(gain_linear, "gain_linear", 0)
-    distance_m = _real(distance_m, "distance_m", 0)
-    try:
-        pd = tx_power_w * gain_linear / (_FOUR_PI * (distance_m * distance_m))
-    except ZeroDivisionError:  # d^2 underflowed to zero
-        pd = math.inf
+    return _power_density(tx_power_w * gain_linear, _real(distance_m, "distance_m", 0))
+
+
+def _power_density(pg: float, distance_m: float) -> float:
+    """``power_density`` of a product P*G, at a valid distance."""
+    area = _FOUR_PI * (distance_m * distance_m)
+    pd = pg / area if area else math.inf  # d^2 underflowed to zero
     if pd == math.inf:
         raise OverflowError(
             f"power density P*G/(4*pi*d^2) overflows at distance {distance_m!r} m")
@@ -169,12 +171,18 @@ def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
     if pd_w_per_m2 < 0.0:
         raise ValueError("pd_w_per_m2 must be >= 0")
     gamma = reflection_coefficient(tissue)
-    transmitted = 1.0 - gamma * gamma
-    sar = 2.0 * pd_w_per_m2 * transmitted / (
-        tissue.penetration_depth_m * tissue.mass_density_kg_per_m3)
+    return _boundary_sar(pd_w_per_m2, 1.0 - gamma * gamma,
+                         tissue.penetration_depth_m * tissue.mass_density_kg_per_m3)
+
+
+def _boundary_sar(pd_w_per_m2: float, transmitted: float, slab: float,
+                  distance_m: float | None = None) -> float:
+    """``sar_boundary`` for 1 - gamma^2 and depth * density; an overflow names ``distance_m``."""
+    sar = 2.0 * pd_w_per_m2 * transmitted / slab
     if sar == math.inf:
+        where = "" if distance_m is None else f" at distance {distance_m!r} m"
         raise OverflowError(
-            f"boundary SAR overflows at power density {pd_w_per_m2!r} W/m^2")
+            f"boundary SAR overflows at power density {pd_w_per_m2!r} W/m^2{where}")
     return sar
 
 
@@ -291,7 +299,31 @@ def _mean_gain(antenna: AntennaConfig, quadrature: QuadratureSpec) -> float:
             f"pattern average moved from {mean_ratio!r} to {refined!r} on grid "
             f"doubling ({samples} to {2 * samples - 1} samples per axis), "
             f"beyond relative tolerance {quadrature.convergence_tol!r}")
-    return db_to_linear(antenna.g_max_dbi) * mean_ratio
+    # a pattern whose every grid sample lies below the double range averages to 0.0
+    return _real(db_to_linear(antenna.g_max_dbi) * mean_ratio, "gain_linear", 0)
+
+
+class _Chain:
+    """The chain's constants for one (scenario, tissue, quadrature): the averaged
+    SAR is K/d^2, and K's factors are kept apart so that each distance is
+    evaluated in the scalar chain's operation order."""
+
+    __slots__ = ("pg_boresight", "pg_mean", "transmitted", "slab")
+
+    def __init__(self, scenario: LinkScenario, tissue: TissueProperties,
+                 quadrature: QuadratureSpec) -> None:
+        tx_power_w = dbm_to_watts(scenario.tx_power_dbm)
+        # gain_dbi at boresight is g_max_dbi exactly
+        self.pg_boresight = tx_power_w * db_to_linear(scenario.tx_antenna.g_max_dbi)
+        self.pg_mean = tx_power_w * _mean_gain(scenario.tx_antenna, quadrature)
+        gamma = reflection_coefficient(tissue)
+        self.transmitted = 1.0 - gamma * gamma
+        self.slab = tissue.penetration_depth_m * tissue.mass_density_kg_per_m3
+
+    def sar_avg(self, distance_m: float) -> float:
+        """Averaged SAR at a valid distance, checked as ``sar_avg`` checks it."""
+        return _boundary_sar(_power_density(self.pg_mean, distance_m), self.transmitted,
+                             self.slab, distance_m)
 
 
 def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
@@ -305,9 +337,4 @@ def sar_avg(scenario: LinkScenario, tissue: TissueProperties, distance_m: float,
     drift above the configured tolerance raises ConvergenceError.
     """
     distance_m = _real(distance_m, "distance_m", 0)
-    mean_gain = _mean_gain(scenario.tx_antenna, quadrature)
-    pd_mean = power_density(dbm_to_watts(scenario.tx_power_dbm), mean_gain, distance_m)
-    try:
-        return sar_boundary(pd_mean, tissue)
-    except OverflowError as exc:
-        raise OverflowError(f"{exc} at distance {distance_m!r} m") from None
+    return _Chain(scenario, tissue, quadrature).sar_avg(distance_m)

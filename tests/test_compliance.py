@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import wearemf.compliance
+import wearemf.exposure
 from wearemf import (
     BUILTIN_LIMITS,
     COMPLIANT_EVERYWHERE,
@@ -107,13 +107,13 @@ def test_solver_reports_unreachable_limit():
 
 def test_bisection_iteration_bound(monkeypatch):
     calls = {"n": 0}
-    true_sar_avg = wearemf.compliance.sar_avg
+    true_sar_avg = wearemf.exposure._Chain.sar_avg
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return true_sar_avg(*args, **kwargs)
 
-    monkeypatch.setattr(wearemf.compliance, "sar_avg", counting)
+    monkeypatch.setattr(wearemf.exposure._Chain, "sar_avg", counting)
     search = DistanceSearch()
     min_safe_distance(P60.scenario, P60.tissue, BUILTIN_LIMITS["ICNIRP"], search,
                       P60.quadrature)
@@ -126,13 +126,13 @@ def test_bisection_iteration_bound(monkeypatch):
 @pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
 def test_solver_returns_the_smallest_compliant_float(monkeypatch, preset, limit_name):
     calls = {"n": 0}
-    true_sar_avg = wearemf.compliance.sar_avg
+    true_sar_avg = wearemf.exposure._Chain.sar_avg
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return true_sar_avg(*args, **kwargs)
 
-    monkeypatch.setattr(wearemf.compliance, "sar_avg", counting)
+    monkeypatch.setattr(wearemf.exposure._Chain, "sar_avg", counting)
     limit = BUILTIN_LIMITS[limit_name]
     found = min_safe_distance(preset.scenario, preset.tissue, limit,
                               quadrature=preset.quadrature)

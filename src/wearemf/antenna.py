@@ -73,6 +73,8 @@ class AntennaConfig:
                              "element_spacing_wavelengths a finite double")
         if not 0.0 < self.theta_3db_deg <= 180.0:
             raise ValueError("theta_3db_deg must lie in (0, 180]")
+        if math.radians(self.theta_3db_deg) == 0.0:  # the pattern divides by it
+            raise ValueError("theta_3db_deg must not underflow to 0.0 in radians")
         if not 0.0 < _linear(self.g_max_dbi) < math.inf:
             raise ValueError("g_max_dbi as a linear gain must be a positive, finite double")
 

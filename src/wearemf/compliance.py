@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .antenna import _real
-from .exposure import (_FOUR_PI, ExposureResult, QuadratureSpec, TissueProperties, _boundary_sar,
-                       _Chain, _power_density)
+from .exposure import (_FOUR_PI, ExposureResult, QuadratureSpec, TissueProperties, _Chain,
+                       _boundary_sar, _power_density)
 from .link import _LN2, LinkScenario, noise_power_dbm, shannon_rate_bps
 
 __all__ = [
@@ -90,6 +90,10 @@ def min_safe_distance(
     LimitUnreachableError when the far end does not.  Raises
     OverflowError or FloatingPointError when the averaged SAR at the
     near end is too large or too imprecise to extrapolate from.
+
+    The chain's constants are computed once per solve, so each
+    evaluation of the averaged SAR is a few float operations, equal to
+    ``sar_avg`` at that distance bit for bit.
     """
     threshold = limit.sar_limit_w_per_kg
     lo = search.d_lo_m
@@ -123,9 +127,10 @@ def _check_distances(distances: Sequence[float], name: str) -> None:
     """Raise ValueError naming ``name`` unless ``distances`` suit ``sweep``."""
     previous = 0.0
     for d in distances:
-        if not (math.isfinite(d) and d > previous):
-            raise ValueError(f"{name} must be positive and strictly increasing")
-        previous = d
+        try:
+            previous = _real(d, name, previous)
+        except ValueError:
+            raise ValueError(f"{name} must be positive and strictly increasing") from None
 
 
 def sweep(
@@ -136,21 +141,23 @@ def sweep(
 ) -> list[ExposureResult]:
     """One ExposureResult per distance, boresight link plus averaged SAR.
 
-    Distances must be strictly increasing and positive; an empty
-    sequence yields an empty list.  Row order matches input order.
-    Rows equal fspl_db, snr_db, shannon_rate_bps, power_density,
-    sar_boundary and sar_avg at their distance, bit for bit.
+    Distances must be strictly increasing, positive, finite real
+    numbers; an empty sequence yields an empty list.  Row order matches
+    input order.  Rows equal fspl_db, snr_db, shannon_rate_bps,
+    power_density, sar_boundary and sar_avg at their distance, bit for
+    bit.
 
     Every column is monotone in the distance, so only the first row
-    can overflow, underflow or divide by zero.  That row alone runs
-    through the scalar chain's checks first, and an overflow there
-    raises OverflowError naming its distance; the rows are then plain
-    float arithmetic on per-scenario constants, in the scalar chain's
-    operation order.
+    can overflow, underflow or divide by zero.  That row alone is
+    checked, in the scalar chain's order: both power densities, then
+    the Shannon rate, then both SARs, each overflow raising
+    OverflowError naming its distance.  The rows are then plain float
+    arithmetic on the chain's per-scenario constants, in the scalar
+    chain's operation order.
     """
     _check_distances(distances, "distances")
     chain = _Chain(scenario, tissue, quadrature)
-    # snr_db's sum in its order, and gain_dbi is g_max_dbi at boresight: equal SNRs
+    # summed in snr_db's order, with gain_dbi's boresight value g_max_dbi: equal SNRs
     budget_dbm = scenario.tx_power_dbm + scenario.tx_antenna.g_max_dbi + scenario.rx_gain_dbi
     noise_dbm = noise_power_dbm(scenario.bandwidth_hz, scenario.noise_figure_db,
                                 scenario.temperature_k)

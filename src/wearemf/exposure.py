@@ -177,7 +177,8 @@ def sar_boundary(pd_w_per_m2: float, tissue: TissueProperties) -> float:
 
 def _boundary_sar(pd_w_per_m2: float, transmitted: float, slab: float,
                   distance_m: float | None = None) -> float:
-    """``sar_boundary`` for 1 - gamma^2 and depth * density; an overflow names ``distance_m``."""
+    """``sar_boundary`` for 1 - gamma^2 and depth * density; an overflow names
+    ``distance_m`` when it is given."""
     sar = 2.0 * pd_w_per_m2 * transmitted / slab
     if sar == math.inf:
         where = "" if distance_m is None else f" at distance {distance_m!r} m"

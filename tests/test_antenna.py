@@ -132,6 +132,8 @@ def test_rejects_non_finite_angles():
     dict(element_spacing_wavelengths=-0.5),
     dict(theta_3db_deg=0.0),
     dict(theta_3db_deg=181.0),
+    # positive in degrees, but 0.0 in radians
+    dict(theta_3db_deg=5.0e-324),
     dict(sidelobe_floor_db=0.0),
     dict(sidelobe_floor_db=-1.0),
     dict(boresight_elevation_deg=math.nan),

@@ -91,6 +91,16 @@ def test_floating_point_failures_exit_2(argv):
     assert argv[argv.index("--from") + 1].encode() in err
 
 
+def test_sweep_checks_its_first_row_in_the_scalar_chains_order():
+    # P*G/(4*pi*d^2) is finite here, but the SARs and the linear SNR overflow:
+    # the power densities, then the Shannon rate, then the SARs are checked
+    code, out, err = run_cli("sweep", "--preset", "wearable-60ghz", "--from", "8.9e-156",
+                             "--to", "1e-100", "--points", "2")
+    assert (code, out) == (2, b"")
+    assert err.decode() == ("error: SNR of 3139.529824542148 dB at distance 8.9e-156 m is "
+                            "too large for the Shannon rate\n")
+
+
 def write_scenario(path, section="tissue", **values):
     """The 60 GHz preset with some keys of one section replaced, written to path."""
     doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
@@ -109,6 +119,8 @@ def write_scenario(path, section="tissue", **values):
     pytest.param("antenna", "n_elements", 10**400, id="antenna-n_elements-10**400"),
     # the array factor's phase n * pi * spacing overflows
     ("antenna", "element_spacing_wavelengths", 1.0e308),
+    # the pattern divides by theta_3db in radians, which underflows to 0.0
+    ("antenna", "theta_3db_deg", 5.0e-324),
 ])
 def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key, value):
     scenario = write_scenario(tmp_path / "edge.yaml", section, **{key: value})

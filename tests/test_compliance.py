@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,8 +183,12 @@ def test_sweep_empty_input_gives_empty_output():
 
 
 def test_sweep_rejects_unordered_distances():
-    for distances in ([0.02, 0.01], [0.01, 0.01], [-0.01, 0.02], [0.0, 0.01]):
-        with pytest.raises(ValueError):
+    for distances in ([0.02, 0.01], [0.01, 0.01], [-0.01, 0.02], [0.0, 0.01],
+                      # not a real number, or beyond the double range
+                      ["a"], [None], [10**400], [True, 2.0], [0.01, math.inf],
+                      [0.01, math.nan]):
+        with pytest.raises(ValueError, match="^distances must be positive and strictly "
+                                             "increasing$"):
             sweep(P60.scenario, P60.tissue, distances)
 
 
@@ -208,6 +213,24 @@ P60_SLAB = dataclasses.replace(P60, tissue=dataclasses.replace(
     P60.tissue, mass_density_kg_per_m3=1090.0, penetration_depth_m=4.8e-4))
 
 
+def _seeded_variant(preset, seed, omni_azimuth):
+    """``preset`` with a seeded parabolic antenna off the grid's axes and a seeded
+    Fresnel tissue (no override) whose depth * density is not 1."""
+    rng = random.Random(seed)
+    antenna = AntennaConfig(
+        PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=rng.uniform(-5.0, 20.0),
+        theta_3db_deg=rng.uniform(30.0, 150.0), sidelobe_floor_db=rng.uniform(15.0, 35.0),
+        boresight_elevation_deg=rng.uniform(-40.0, 40.0),
+        boresight_azimuth_deg=rng.uniform(-40.0, 40.0), omni_azimuth=omni_azimuth)
+    tissue = TissueProperties(complex(rng.uniform(5.0, 50.0), -rng.uniform(0.0, 30.0)),
+                              rng.uniform(900.0, 1200.0), rng.uniform(2e-4, 5e-3))
+    assert tissue.mass_density_kg_per_m3 * tissue.penetration_depth_m != 1.0
+    return dataclasses.replace(
+        preset, tissue=tissue, scenario=dataclasses.replace(
+            preset.scenario, tx_antenna=antenna, tx_power_dbm=rng.uniform(-10.0, 25.0),
+            rx_gain_dbi=rng.uniform(-5.0, 15.0)))
+
+
 # the wide grid reaches distances whose square overflows, so that the
 # power density underflows to 0.0
 @pytest.mark.parametrize("preset, grid", [
@@ -216,7 +239,10 @@ P60_SLAB = dataclasses.replace(P60, tissue=dataclasses.replace(
     (P60, (1e-140, 1e160, 3001)),
     (P24, (1e-140, 1e160, 3001)),
     (P60_SLAB, (1e-3, 10.0, 200)),
-], ids=["60ghz", "2.4ghz", "60ghz-wide", "2.4ghz-wide", "60ghz-slab"])
+    (_seeded_variant(P60, 5, omni_azimuth=False), (1e-3, 10.0, 200)),
+    (_seeded_variant(P24, 6, omni_azimuth=True), (1e-3, 10.0, 200)),
+], ids=["60ghz", "2.4ghz", "60ghz-wide", "2.4ghz-wide", "60ghz-slab", "seeded-2d",
+        "seeded-omni"])
 def test_sweep_rows_equal_the_scalar_chain(preset, grid):
     sc, tissue, quadrature = preset.scenario, preset.tissue, preset.quadrature
     antenna = sc.tx_antenna

@@ -153,7 +153,8 @@ def sweep(
     the Shannon rate, then both SARs, each overflow raising
     OverflowError naming its distance.  The rows are then plain float
     arithmetic on the chain's per-scenario constants, in the scalar
-    chain's operation order.
+    chain's operation order.  They skip ExposureResult's checks, which
+    cannot fail on them, and equal the records its constructor builds.
     """
     _check_distances(distances, "distances")
     chain = _Chain(scenario, tissue, quadrature)
@@ -178,14 +179,23 @@ def sweep(
         for pd in pds:
             _boundary_sar(pd, transmitted, slab, d)
 
+    # ExposureResult's checks cannot fail here: the distances are checked, and
+    # every other column is B*log1p(>= 0)/ln 2 or a product or quotient of
+    # positive constants; so each row gets its fields at once, in field order
+    new, set_fields, log10, log1p = object.__new__, object.__setattr__, math.log10, math.log1p
     rows: list[ExposureResult] = []
+    append = rows.append
     for d in distances:
-        loss = 20.0 * math.log10(d) + carrier_db - 27.55
+        loss = 20.0 * log10(d) + carrier_db - 27.55
         snr = budget_dbm - loss - noise_dbm
         area = _FOUR_PI * (d * d)
         pd_boresight = pg_boresight / area
-        rows.append(ExposureResult(
-            d, loss, snr, bandwidth * math.log1p(10.0 ** (snr / 10.0)) / _LN2, pd_boresight,
-            2.0 * pd_boresight * transmitted / slab,
-            2.0 * (pg_mean / area) * transmitted / slab))
+        row = new(ExposureResult)
+        set_fields(row, "__dict__", {
+            "distance_m": d, "path_loss_db": loss, "snr_db": snr,
+            "rate_bps": bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2,
+            "boresight_pd_w_per_m2": pd_boresight,
+            "boresight_sar_w_per_kg": 2.0 * pd_boresight * transmitted / slab,
+            "avg_sar_w_per_kg": 2.0 * (pg_mean / area) * transmitted / slab})
+        append(row)
     return rows

@@ -301,7 +301,11 @@ def _mean_gain(antenna: AntennaConfig, quadrature: QuadratureSpec) -> float:
             f"doubling ({samples} to {2 * samples - 1} samples per axis), "
             f"beyond relative tolerance {quadrature.convergence_tol!r}")
     # a pattern whose every grid sample lies below the double range averages to 0.0
-    return _real(db_to_linear(antenna.g_max_dbi) * mean_ratio, "gain_linear", 0)
+    gain = db_to_linear(antenna.g_max_dbi) * mean_ratio
+    if not gain > 0.0:
+        raise ValueError(f"the antenna's pattern average underflows to 0.0 on the "
+                         f"{samples}-sample grid")
+    return gain
 
 
 class _Chain:

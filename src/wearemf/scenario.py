@@ -377,6 +377,10 @@ def _json_number(value) -> str:
     return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
 
 
+# the types that ``%s`` prints as ``float.__repr__`` and ``int.__repr__`` do
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
 def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     """Serialize sweep rows as CSV or JSON bytes.
 
@@ -389,15 +393,30 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     round-trip floats (``float.__repr__``, so numpy.float64 values too)
     and ``int.__repr__`` integers.  Output is bit-identical across runs
     for identical inputs.
+
+    The rows' values are flattened into one tuple, and the whole output
+    is one ``%`` operation on a template with a slot per value.  When
+    every value is a plain float or int, the JSON slots are ``%s`` on the
+    values themselves; a finite float or an int never prints ``inf`` or
+    ``nan``, nor does a field name, so the output is searched for those
+    two, and only on a hit are the values looked through for the one
+    to name.  Values of other types are first turned into text one by
+    one: numpy's str() of a float64 follows its print options, and str()
+    of a bool is not ``int.__repr__``.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-    records = list(map(_ROW_VALUES, rows))
+    values = tuple(itertools.chain.from_iterable(map(_ROW_VALUES, rows)))
+    count = len(values) // len(CSV_FIELDS)
     if fmt == "csv":
-        return (_CSV_HEADER + "".join([_CSV_LINE % record for record in records])).encode("ascii")
-    if not records:
+        return (_CSV_HEADER + _CSV_LINE * count % values).encode("ascii")
+    if not count:
         return b"[]\n"
-    values = list(itertools.chain.from_iterable(records))
+    template = "[\n" + ",\n".join([_JSON_OBJECT] * count) + "\n]\n"
+    if _PLAIN_NUMBERS.issuperset(map(type, values)):
+        text = template % values
+        if "inf" not in text and "nan" not in text:
+            return text.encode("ascii")
     try:
         texts = list(map(float.__repr__, values))
     except TypeError:  # an int among the floats
@@ -406,5 +425,4 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     if "n" in "".join(texts):
         bad = next(value for value, text in zip(values, texts) if "n" in text)
         raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    template = "[\n" + ",\n".join([_JSON_OBJECT] * len(records)) + "\n]\n"
     return (template % tuple(texts)).encode("ascii")

@@ -101,9 +101,9 @@ def test_sweep_checks_its_first_row_in_the_scalar_chains_order():
                             "too large for the Shannon rate\n")
 
 
-def write_scenario(path, section="tissue", **values):
-    """The 60 GHz preset with some keys of one section replaced, written to path."""
-    doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
+def write_scenario(path, section="tissue", preset="wearable-60ghz", **values):
+    """A preset with some keys of one section replaced, written to path."""
+    doc = yaml.safe_load(serialize_scenario(load_preset(preset)))
     doc[section].update(values)
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -132,6 +132,19 @@ def test_db_values_beyond_the_double_range_name_their_key(tmp_path, section, key
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {section}: ")
         assert key in lines[0]
+
+
+def test_a_pattern_average_that_underflows_to_zero_is_named(tmp_path):
+    # the main lobe falls between the grid's samples, and the floor lies beyond
+    # the double range, so every sample of the pattern is 0.0
+    scenario = write_scenario(tmp_path / "narrow.yaml", "antenna", "wearable-2.4ghz",
+                              theta_3db_deg=0.01, sidelobe_floor_db=1.0e6,
+                              boresight_elevation_deg=0.3, boresight_azimuth_deg=0.3)
+    for argv in (("sweep",), ("safe-distance", "--limit", "ICNIRP")):
+        code, out, err = run_cli(*argv, "--scenario", str(scenario))
+        assert (code, out) == (1, b"")
+        assert err == (b"error: the antenna's pattern average underflows to 0.0 on the "
+                       b"361-sample grid\n")
 
 
 @pytest.mark.parametrize("value, written", [

@@ -1,7 +1,9 @@
 """Safe-distance solver and sweep generation."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -14,6 +16,7 @@ from wearemf import (
     AntennaConfig,
     ComplianceLimit,
     DistanceSearch,
+    ExposureResult,
     LimitUnreachableError,
     LinkScenario,
     PatternModel,
@@ -271,3 +274,49 @@ def test_sweep_order_matches_input():
     distances = [0.003, 0.017, 0.4]
     rows = sweep(P24.scenario, P24.tissue, distances, P24.quadrature)
     assert [row.distance_m for row in rows] == distances
+
+
+@pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
+def test_sweep_rows_cannot_be_told_from_constructed_ones(preset):
+    """``sweep`` fills each row's fields without the constructor; a row must
+    behave as the record the constructor builds from the same values."""
+    names = [field.name for field in dataclasses.fields(ExposureResult)]
+    for row in sweep(preset.scenario, preset.tissue, [1e-3, 0.01, 0.1, 1.0],
+                     preset.quadrature):
+        built = ExposureResult(*[getattr(row, name) for name in names])
+        assert type(row) is ExposureResult
+        assert row == built and hash(row) == hash(built) and repr(row) == repr(built)
+        assert list(vars(row)) == list(vars(built)) == names
+        assert list(dataclasses.asdict(row).items()) == list(dataclasses.asdict(built).items())
+        assert dataclasses.astuple(row) == dataclasses.astuple(built)
+        assert pickle.dumps(row) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(row)) == row
+        assert copy.copy(row) == row and list(vars(copy.copy(row))) == names
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.snr_db = 0.0
+        with pytest.raises(ValueError, match="^distance_m must be > 0$"):
+            dataclasses.replace(row, distance_m=-1.0)
+
+
+def test_sweep_keeps_int_distances():
+    rows = sweep(P60.scenario, P60.tissue, [1, 2, 3], P60.quadrature)
+    assert [row.distance_m for row in rows] == [1, 2, 3]
+    assert all(type(row.distance_m) is int for row in rows)
+    assert rows == sweep(P60.scenario, P60.tissue, [1.0, 2.0, 3.0], P60.quadrature)
+
+
+def test_sweep_runs_no_record_checks(monkeypatch):
+    calls = {"n": 0}
+    true_post_init = ExposureResult.__post_init__
+
+    def counting(self):
+        calls["n"] += 1
+        return true_post_init(self)
+
+    monkeypatch.setattr(ExposureResult, "__post_init__", counting)
+    ExposureResult(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert calls["n"] == 1  # the counter sees the constructor
+    rows = sweep(P60.scenario, P60.tissue, np.geomspace(1e-3, 1.0, 1000).tolist(),
+                 P60.quadrature)
+    assert len(rows) == 1000
+    assert calls["n"] == 1

@@ -556,3 +556,37 @@ def test_json_refuses_each_non_finite_value(field, value):
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_results(rows, "json")
     assert emit_results(rows, "csv") == _reference_emission(rows, "csv")
+
+
+def _long_sweep(name, count=10_000):
+    preset = load_preset(name)
+    return sweep(preset.scenario, preset.tissue, np.geomspace(1e-3, 1.0, count).tolist(),
+                 preset.quadrature)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", preset_names())
+def test_emission_of_long_sweeps_equals_the_reference(name, fmt):
+    rows = _long_sweep(name)
+    assert emit_results(rows, fmt) == _reference_emission(rows, fmt)
+
+
+# a float and a numpy.float64, which emit_results turns into text by different paths
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan)],
+                         ids=["inf", "-inf", "nan", "np-nan"])
+def test_json_names_a_non_finite_value_in_the_last_row_of_a_long_list(value):
+    rows = _long_sweep("wearable-60ghz")
+    rows[-1] = dataclasses.replace(rows[-1], snr_db=value)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON "
+                                         f"compliant: {re.escape(repr(value))}$"):
+        emit_results(rows, "json")
+    assert emit_results(rows, "csv") == _reference_emission(rows, "csv")
+
+
+def test_json_of_numpy_values_does_not_follow_numpy_print_options():
+    # str(numpy.float64(0.1 + 0.2)) is "0.3" under the legacy print options
+    rows = sweep(_P60.scenario, _P60.tissue, np.geomspace(1e-3, 1.0, 5) + 0.1 + 0.2,
+                 _P60.quadrature)
+    assert any(type(value) is np.float64 for value in dataclasses.astuple(rows[0]))
+    with np.printoptions(legacy="1.13"):
+        assert emit_results(rows, "json") == _reference_emission(rows, "json")

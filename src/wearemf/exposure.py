@@ -5,7 +5,12 @@ angles on [0, 2*pi] with composite trapezoidal quadrature and a
 1/(2*pi)^2 normalization.  Distance factors out of that integral, so
 the pattern average is computed once per antenna and grid, cached,
 and reused; this keeps dense distance scans cheap and makes the
-inverse-square behavior of the result exact in floating point.
+inverse-square behavior of the result exact in floating point.  The
+grid points themselves do not depend on the antenna: each grid size is
+built once per process and shared by every antenna averaged on it.
+Four sizes are kept; at the largest ``samples_per_axis`` (2^16) a fine
+grid is 131071 floats, about 4.2 MB, so the grids never hold more than
+about 17 MB.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs, _parabolic_dbs,
-                      _real, _whole_number)
+from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs, _is_real,
+                      _parabolic_dbs, _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -102,7 +107,12 @@ class TissueProperties:
 
 @dataclass(frozen=True)
 class ExposureResult:
-    """One distance sample of link and exposure quantities."""
+    """One distance sample of link and exposure quantities.
+
+    Each value is stored as given.  It must be a real number other than
+    a bool, and one that converts to a double, as emission converts it;
+    non-finite floats are kept, and JSON emission refuses them.
+    """
 
     distance_m: float
     path_loss_db: float
@@ -113,6 +123,13 @@ class ExposureResult:
     avg_sar_w_per_kg: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must lie within the double range") from None
         if not self.distance_m > 0.0:
             raise ValueError("distance_m must be > 0")
         if self.rate_bps < 0.0:
@@ -269,6 +286,12 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     return math.fsum(rows) / (last * last)
 
 
+@lru_cache(maxsize=4)
+def _grid(points: int) -> tuple[float, ...]:
+    """``points`` points spanning [0, 2*pi], the same for every antenna."""
+    return tuple(_linspace(0.0, _TWO_PI, points))
+
+
 @lru_cache(maxsize=64)
 def _pattern_means(antenna: AntennaConfig, samples: int) -> tuple[float, float]:
     """Pattern means over [0, 2*pi]^2 on ``samples`` and ``2*samples - 1`` points per axis.
@@ -280,7 +303,7 @@ def _pattern_means(antenna: AntennaConfig, samples: int) -> tuple[float, float]:
     Every sum is exactly rounded or in a fixed order, so repeated calls
     are bit-identical.
     """
-    fine = _linspace(0.0, _TWO_PI, 2 * samples - 1)
+    fine = _grid(2 * samples - 1)
     if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
         ratios = [10.0 ** (-att / 10.0) for att in _elevation_dbs(antenna, fine)]
         return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 import operator
 import os
 import re
@@ -374,7 +375,11 @@ _JSON_OBJECT = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) 
 
 
 def _json_number(value) -> str:
-    return float.__repr__(value) if isinstance(value, float) else int.__repr__(value)
+    """An integer (numpy's too) as ``int.__repr__``; any other real as the
+    shortest repr of the double it converts to, the double CSV prints."""
+    if isinstance(value, numbers.Integral):
+        return int.__repr__(int(value))
+    return float.__repr__(float(value))
 
 
 # the types that ``%s`` prints as ``float.__repr__`` and ``int.__repr__`` do
@@ -391,8 +396,11 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     For float and int values (bools aside) the JSON bytes are those of
     ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``: shortest
     round-trip floats (``float.__repr__``, so numpy.float64 values too)
-    and ``int.__repr__`` integers.  Output is bit-identical across runs
-    for identical inputs.
+    and ``int.__repr__`` integers.  Other reals, which ``json.dumps``
+    refuses, print as well: numpy integers as ints, and any other real
+    (a Fraction, say) as the shortest repr of its double, the double
+    that CSV prints.  Output is bit-identical across runs for identical
+    inputs.
 
     The rows' values are flattened into one tuple, and the whole output
     is one ``%`` operation on a template with a slot per value.  When
@@ -419,7 +427,7 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
             return text.encode("ascii")
     try:
         texts = list(map(float.__repr__, values))
-    except TypeError:  # an int among the floats
+    except TypeError:  # an int, or a real that is not a float, among the floats
         texts = list(map(_json_number, values))
     # finite floats and ints never print an "n"; inf and nan do
     if "n" in "".join(texts):

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from wearemf import (
     sar_boundary,
 )
 from wearemf import exposure
-from wearemf.exposure import _linspace, _mean_gain, _pattern_means
+from wearemf.exposure import _grid, _linspace, _mean_gain, _pattern_means
 
 ULA16 = AntennaConfig(model=PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=11.9,
                       n_elements=16)
@@ -296,6 +297,19 @@ def test_the_doubled_grid_holds_the_grid_at_its_even_points():
     for n in [*range(2, 1501), *(rng.randint(1501, 65536) for _ in range(4)), 65536]:
         assert _linspace(0.0, 2.0 * math.pi, n) == \
             _linspace(0.0, 2.0 * math.pi, 2 * n - 1)[::2], n
+
+
+def test_the_shared_grid_is_the_linspace_grid():
+    rng = random.Random(11)
+    for n in [*range(2, 1501), *(rng.randint(1501, 65536) for _ in range(4)), 65536]:
+        for points in (n, 2 * n - 1):
+            assert _grid(points) == tuple(_linspace(0.0, 2.0 * math.pi, points)), points
+
+
+def test_each_grid_size_is_built_once_and_the_cache_is_bounded():
+    assert _grid(2 * 361 - 1) is _grid(2 * 361 - 1)
+    # at 2^16 samples per axis one fine grid holds 131071 floats, about 4.2 MB
+    assert _grid.cache_info().maxsize == 4
 
 
 @pytest.mark.parametrize("kind", ["array", "omni", "2d"])
@@ -688,3 +702,27 @@ def test_exposure_result_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         ExposureResult(**base)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("path_loss_db", "x", "path_loss_db must be a real number"),
+    ("snr_db", None, "snr_db must be a real number"),
+    ("distance_m", True, "distance_m must be a real number"),
+    ("rate_bps", complex(1.0, 0.0), "rate_bps must be a real number"),
+    ("avg_sar_w_per_kg", 10**400, "avg_sar_w_per_kg must lie within the double range"),
+    ("path_loss_db", -10**400, "path_loss_db must lie within the double range"),
+    ("snr_db", Fraction(10**400, 3), "snr_db must lie within the double range"),
+])
+def test_exposure_result_refuses_values_emission_cannot_print(field, value, message):
+    base = dict(distance_m=0.01, path_loss_db=60.0, snr_db=20.0, rate_bps=1e9,
+                boresight_pd_w_per_m2=10.0, boresight_sar_w_per_kg=5.0,
+                avg_sar_w_per_kg=1.0)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExposureResult(**{**base, field: value})
+
+
+def test_exposure_result_keeps_its_values_as_given():
+    values = (np.float64(0.01), 10**20, Fraction(1, 3), np.int64(5), math.inf, 0, 2.0**1023)
+    row = ExposureResult(*values)
+    assert [type(value) for value in dataclasses.astuple(row)] == [type(v) for v in values]
+    assert dataclasses.astuple(row) == values

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import numbers
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -590,3 +592,36 @@ def test_json_of_numpy_values_does_not_follow_numpy_print_options():
     assert any(type(value) is np.float64 for value in dataclasses.astuple(rows[0]))
     with np.printoptions(legacy="1.13"):
         assert emit_results(rows, "json") == _reference_emission(rows, "json")
+
+
+# values of every kind a caller might put in a row, most of which the record refuses
+_ANY_VALUE = st.one_of(
+    st.floats(), st.integers(-10**400, 10**400), st.fractions(), st.booleans(), st.none(),
+    st.text(max_size=2), st.sampled_from([10**400, 2**1024, Fraction(10**400, 3), Fraction(1, 3)]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+# a row that builds is a row that emits, or whose emission says which value it cannot print
+@given(changes=st.lists(st.dictionaries(
+    st.sampled_from([field.name for field in dataclasses.fields(ExposureResult)]), _ANY_VALUE),
+    min_size=1, max_size=3))
+@example(changes=[{"distance_m": np.int64(5), "snr_db": Fraction(1, 3)}])
+@example(changes=[{"path_loss_db": 10**400}])
+@settings(max_examples=300, deadline=None)
+def test_every_row_that_builds_emits(changes):
+    rows = []
+    for change in changes:
+        try:
+            rows.append(dataclasses.replace(_rows()[0], **change))
+        except ValueError:
+            pass
+    assert len(emit_results(rows, "csv").decode().splitlines()) == len(rows) + 1
+    try:
+        data = emit_results(rows, "json")
+    except ValueError as error:
+        assert "not JSON compliant" in str(error)
+        return
+    assert [list(printed.values()) for printed in json.loads(data)] == [
+        [int(value) if isinstance(value, numbers.Integral) else float(value)
+         for value in dataclasses.astuple(row)] for row in rows]

@@ -250,8 +250,10 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     of w_j * 10^(-a_j/10) and of w_j gives the row.  The inner rows, all
     of weight 1, are sorted by e_i too, and one bisection splits off the
     rows clipped in every pair, which each add the floor times the total
-    weight; only the other rows, with the two half-weight end rows, are
-    bisected.  O(n log n) time and O(n) memory; the row terms are summed
+    weight.  The bounds of the other inner rows never increase with e_i,
+    so one walk down the sorted a_j finds them all; only the two
+    half-weight end rows are bisected.  The sorts take O(n log n) time
+    and the walk O(n); memory is O(n), and the row terms are summed
     exactly.
     """
     last = len(azimuth) - 1
@@ -276,13 +278,19 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     # every pair come last
     clipped = bisect_left(inner, -ascending[0], key=lambda e: e - floor_db)
     rows = [floor_ratio * total_weight] * (last - 1 - clipped)
-    partial = [elevation[0], elevation[last], *inner[:clipped]]
-    row_weights = [0.5, 0.5, *[1.0] * clipped]
-    bounds = [bisect_left(ascending, floor_db - e) for e in partial]
-    rows += [w * 10.0 ** (-e / 10.0) * ratio_sums[k]
-             for w, e, k in zip(row_weights, partial, bounds)]
-    rows += [w * floor_ratio * (total_weight - weight_sums[k])
-             for w, k in zip(row_weights, bounds)]
+    for e in (elevation[0], elevation[last]):
+        k = bisect_left(ascending, floor_db - e)
+        rows += (0.5 * 10.0 ** (-e / 10.0) * ratio_sums[k],
+                 0.5 * floor_ratio * (total_weight - weight_sums[k]))
+    # floor_db - e falls as e rises, so the bounds never increase and none exceeds
+    # reach; each threshold lies above ascending[0], so k stays >= 1
+    k = reach
+    for e in inner[:clipped]:
+        threshold = floor_db - e
+        while ascending[k - 1] >= threshold:
+            k -= 1
+        rows.append(10.0 ** (-e / 10.0) * ratio_sums[k])
+        rows.append(floor_ratio * (total_weight - weight_sums[k]))
     return math.fsum(rows) / (last * last)
 
 

@@ -521,6 +521,80 @@ def test_the_sorted_row_mean_equals_the_index_sorted_reference(samples):
         assert any(classes[case] for classes in reached), case
 
 
+@pytest.mark.parametrize("samples", [721, 1441])
+def test_the_clipped_mean_equals_the_bisected_reference_at_design_scan_sizes(samples):
+    rng = random.Random(f"scan-{samples}")
+    # drawn as the benchmark's design-scan draws 2-D designs, then a few far boresights
+    for bound in [10.0] * 12 + [540.0] * 3:
+        antenna = AntennaConfig(
+            model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=rng.uniform(3.0, 12.0),
+            theta_3db_deg=rng.uniform(40.0, 120.0), sidelobe_floor_db=rng.uniform(20.0, 35.0),
+            boresight_elevation_deg=rng.uniform(-bound, bound),
+            boresight_azimuth_deg=rng.uniform(-bound, bound))
+        assert _pattern_means(antenna, samples) == _reference_means(antenna, samples), antenna
+
+
+def _walk_cases(antenna, samples):
+    """Which edges of the walk over the partly clipped inner rows ``antenna``
+    reaches on ``samples`` points: a threshold floor - e exactly equal to an a
+    strictly between the smallest and the largest, a threshold exactly the
+    smallest a beside rows that the walk visits, equal e among the partly
+    clipped inner rows, and no row above the floor in any pair (the walk
+    starts at 0)."""
+    grid = _linspace(0.0, 2.0 * math.pi, samples)
+    elevation = [_parabolic_db(antenna, theta, antenna.boresight_elevation_deg)
+                 for theta in grid]
+    azimuth = [_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg) for phi in grid]
+    floor_db, lowest, highest = antenna.sidelobe_floor_db, min(azimuth), max(azimuth)
+    values, inner = set(azimuth), elevation[1:-1]
+    thresholds = [floor_db - e for e in inner]
+    partial = [e for e, t in zip(inner, thresholds) if t > lowest]
+    return (any(lowest < t < highest and t in values for t in thresholds),
+            lowest in thresholds and bool(partial),
+            len(set(partial)) < len(partial),
+            floor_db - min(elevation) <= lowest)
+
+
+@pytest.mark.parametrize("samples", [3, 5, 17, 181])
+def test_the_row_walk_equals_the_bisected_reference_at_its_edges(samples):
+    rng = random.Random(f"walk-{samples}")
+    reached = []
+    # boresight elevations 0 and 180 degrees mirror the rows into runs of equal e;
+    # a boresight azimuth of 0 puts the smallest a at exactly 0
+    boresights = [(0.0, rng.uniform(-540.0, 540.0)), (180.0, 0.0),
+                  (rng.uniform(-540.0, 540.0), 0.0),
+                  (rng.uniform(-540.0, 540.0), rng.uniform(-540.0, 540.0))]
+    for elevation_deg, azimuth_deg in 3 * boresights:
+        antenna = AntennaConfig(
+            model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+            theta_3db_deg=rng.uniform(20.0, 180.0), sidelobe_floor_db=rng.uniform(5.0, 40.0),
+            boresight_elevation_deg=elevation_deg, boresight_azimuth_deg=azimuth_deg)
+        variants = [antenna]
+        grid = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
+        elevation = [_parabolic_db(antenna, theta, elevation_deg) for theta in grid]
+        azimuth = sorted(_parabolic_db(antenna, phi, antenna.boresight_azimuth_deg)
+                         for phi in grid)
+        # floors that put a middle inner row's threshold floor - e exactly on the
+        # smallest a (the edge of the clipped split) or on an a inside the walk; a
+        # tie moves one pair's term by about an ulp, so take several
+        inner = sorted(elevation[1:-1])
+        for a in (azimuth[0], *azimuth[1:-1:max(1, len(azimuth) // 8)]):
+            for e in inner[len(inner) // 2:]:
+                if 0.0 < e + a and (e + a) - e == a:
+                    variants.append(dataclasses.replace(antenna, sidelobe_floor_db=e + a))
+                    break
+        # a floor whose lowest row's threshold is the smallest a: no row reaches a pair
+        lowest = min(elevation)
+        if 0.0 < lowest + azimuth[0] and (lowest + azimuth[0]) - lowest == azimuth[0]:
+            variants.append(dataclasses.replace(antenna, sidelobe_floor_db=lowest + azimuth[0]))
+        for variant in variants:
+            assert _pattern_means(variant, samples) == _reference_means(variant, samples), \
+                variant
+            reached += [_walk_cases(variant, samples), _walk_cases(variant, 2 * samples - 1)]
+    for case in range(4):
+        assert any(classes[case] for classes in reached), case
+
+
 def test_the_kernels_equal_the_scalar_reference_at_every_point():
     rng = random.Random("kernels")
     angles = [*_linspace(0.0, 2.0 * math.pi, 721), *(rng.uniform(-20.0, 20.0) for _ in range(200))]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from .compliance import (
     BUILTIN_LIMITS,
@@ -20,9 +19,10 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     SweepGrid,
+    _parse_text,
+    _read_text,
     emit_results,
     load_preset,
-    load_scenario,
     preset_names,
 )
 
@@ -73,7 +73,8 @@ def _add_scenario_options(cmd: argparse.ArgumentParser) -> None:
 
 def _load(args: argparse.Namespace) -> ScenarioFile:
     if args.scenario is not None:
-        loaded = load_scenario(Path(args.scenario))
+        # a path whatever characters it holds, never YAML text
+        loaded = _parse_text(_read_text(args.scenario))
     else:
         loaded = load_preset(args.preset)
     if args.quadrature_samples is not None:
@@ -88,7 +89,8 @@ def _write(output: str, data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(output).write_bytes(data)
+        with open(output, "wb") as file:
+            file.write(data)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:

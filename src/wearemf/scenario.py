@@ -10,14 +10,13 @@ value lands in checks it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import numbers
 import operator
 import os
 import re
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from typing import Sequence, Union
 
 from .antenna import _MAX_SAMPLES, AntennaConfig, PatternModel, _real, _whole_number
@@ -117,26 +116,6 @@ class ScenarioFile:
             raise ValueError("sweep_grid must be a SweepGrid")
 
 
-# a decimal exponent form, which YAML 1.1 reads as a float only with a dot
-# in the mantissa and a sign in the exponent: 2.16e+9, but not 2e+9 or 2.16e9
-_EXPONENT_FORM = re.compile(r"([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+))[eE]([-+]?)([0-9]+)")
-
-
-def _number_hint(value) -> str:
-    for text in value if isinstance(value, list) else [value]:
-        form = _EXPONENT_FORM.fullmatch(text) if isinstance(text, str) else None
-        if form is None:
-            continue
-        mantissa, sign, digits = form.groups()
-        if "." in mantissa and sign:
-            continue  # a float to YAML, so it was quoted
-        dot = "" if "." in mantissa else ".0"
-        return (f" (YAML reads {text!r} as a string; write the mantissa with a dot and the "
-                f"exponent with a sign, as in {mantissa}{dot}e{sign or '+'}{digits}, or spell "
-                "the number out)")
-    return ""
-
-
 def _value(section: str, field: dataclasses.Field, value):
     """``value`` for ``field``'s record: a model by its name, and no null."""
     if value is None:
@@ -185,9 +164,7 @@ def _record(record, section: str, raw, **given):
     try:
         built = record(**values)
     except ValueError as exc:
-        # a record's message starts with the name of the field it refuses
-        hint = _number_hint(values.get(str(exc).partition(" ")[0]))
-        raise ScenarioError(f"{section}: {exc}{hint}") from exc
+        raise ScenarioError(f"{section}: {exc}") from exc
     _no_leftovers(section, raw)
     return built
 
@@ -196,13 +173,12 @@ def _parse_tissue(raw) -> TissueProperties:
     raw = _mapping("tissue", raw)
     # eps' - j*eps'': the loss term is -imag, taken as 0.0 - imag so zero stays +0.0
     default = TissueProperties.rel_permittivity
-    parts = [raw.pop("rel_permittivity_real", default.real),
-             raw.pop("rel_permittivity_imag", 0.0 - default.imag)]
+    real = raw.pop("rel_permittivity_real", default.real)
+    imag = raw.pop("rel_permittivity_imag", 0.0 - default.imag)
     try:
-        eps = complex(_real(parts[0], "rel_permittivity_real"),
-                      -_real(parts[1], "rel_permittivity_imag"))
+        eps = complex(_real(real, "rel_permittivity_real"), -_real(imag, "rel_permittivity_imag"))
     except ValueError as exc:
-        raise ScenarioError(f"tissue: {exc}{_number_hint(parts)}") from None
+        raise ScenarioError(f"tissue: {exc}") from None
     return _record(TissueProperties, "tissue", raw, rel_permittivity=eps)
 
 
@@ -248,36 +224,58 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
     a string containing newlines is parsed directly as YAML.
     """
     if isinstance(source, os.PathLike):
-        text = _read_text(Path(source))
-    elif isinstance(source, str) and "\n" not in source:
+        return _parse_text(_read_text(source))
+    if isinstance(source, str) and "\n" not in source:
         try:
-            text = _read_text(Path(source))
+            return _parse_text(_read_text(source))
         except FileNotFoundError:
             raise ScenarioError(
                 f"no scenario file {source!r}: a string without a newline is read "
                 "as a path, and no such file exists") from None
-    else:
-        text = source
+    return _parse_text(source)
+
+
+# YAML 1.2's decimal exponent forms; YAML 1.1 reads one as a float only with
+# a dot in the mantissa and a sign in the exponent (2.4e+9, but not 2.4e9)
+_EXPONENT_FLOAT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"
+
+
+@functools.lru_cache(maxsize=None)
+def _yaml_classes():
+    """PyYAML's safe loader and dumper, each also resolving the exponent forms
+    as floats, so that a string such as '1e3' is dumped quoted."""
+    import yaml
+
+    classes = (type("Loader", (yaml.SafeLoader,), {}), type("Dumper", (yaml.SafeDumper,), {}))
+    for cls in classes:
+        cls.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(_EXPONENT_FLOAT),
+                                  list("-+0123456789."))
+    return classes
+
+
+def _parse_text(text) -> ScenarioFile:
+    """The scenario in YAML ``text``: the last step of every way one is read."""
     import yaml
 
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, _yaml_classes()[0])
     # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
     except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError(_parse_error_text(exc, text)) from exc
     return _parse_document(doc)
 
 
-def _read_text(path: Path) -> str:
+def _read_text(path: Union[str, os.PathLike]) -> str:
     """The text of a UTF-8 file; otherwise a ScenarioError names the file
     and the line and column of the first byte that is not UTF-8."""
-    data = path.read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start].decode("utf-8")
         raise ScenarioError(
-            f"scenario file {str(path)!r} is not UTF-8{_at_offset(before, len(before))}: "
+            f"scenario file {os.fspath(path)!r} is not UTF-8{_at_offset(before, len(before))}: "
             f"byte 0x{data[exc.start]:02x}, {exc.reason}") from None
 
 
@@ -345,26 +343,23 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     doc["limits"] = [_dump(limit) for limit in scenario_file.limits]
     if scenario_file.sweep_grid is not None:
         doc["sweep"] = _dump(scenario_file.sweep_grid)
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return yaml.dump(doc, Dumper=_yaml_classes()[1], sort_keys=False, default_flow_style=False)
 
 
-def _preset_dir():
-    return resources.files(__package__) / "presets"
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
 
 
 def preset_names() -> list[str]:
     """Names of the built-in scenario presets."""
-    return sorted(entry.name[:-5] for entry in _preset_dir().iterdir()
-                  if entry.name.endswith(".yaml"))
+    return sorted(entry[:-5] for entry in os.listdir(_PRESET_DIR) if entry.endswith(".yaml"))
 
 
 def load_preset(name: str) -> ScenarioFile:
-    """Load a built-in preset by name."""
-    candidate = _preset_dir() / f"{name}.yaml"
-    if not candidate.is_file():
-        known = ", ".join(preset_names())
-        raise ScenarioError(f"unknown preset '{name}' (available: {known})")
-    return load_scenario(candidate.read_text(encoding="utf-8"))
+    """Load a built-in preset by a name that ``preset_names`` lists."""
+    known = preset_names()
+    if name not in known:
+        raise ScenarioError(f"unknown preset '{name}' (available: {', '.join(known)})")
+    return _parse_text(_read_text(os.path.join(_PRESET_DIR, f"{name}.yaml")))
 
 
 _ROW_VALUES = operator.attrgetter(*(field.name for field in dataclasses.fields(ExposureResult)))
@@ -425,10 +420,7 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
         text = template % values
         if "inf" not in text and "nan" not in text:
             return text.encode("ascii")
-    try:
-        texts = list(map(float.__repr__, values))
-    except TypeError:  # an int, or a real that is not a float, among the floats
-        texts = list(map(_json_number, values))
+    texts = list(map(_json_number, values))
     # finite floats and ints never print an "n"; inf and nan do
     if "n" in "".join(texts):
         bad = next(value for value, text in zip(values, texts) if "n" in text)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -11,10 +12,12 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wearemf
 from wearemf import (
     BUILTIN_LIMITS,
     CSV_FIELDS,
     DistanceSearch,
+    ScenarioError,
     cli,
     load_preset,
     min_safe_distance,
@@ -34,6 +37,17 @@ def test_presets_subcommand_lists_builtins():
     code, out, _ = run_cli("presets")
     assert code == 0
     assert out.decode().split() == ["wearable-2.4ghz", "wearable-60ghz"]
+
+
+def test_a_preset_name_cannot_reach_a_file_outside_the_package(tmp_path):
+    (tmp_path / "outside.yaml").write_text(serialize_scenario(load_preset("wearable-60ghz")))
+    presets = os.path.join(os.path.dirname(wearemf.__file__), "presets")
+    name = os.path.relpath(tmp_path / "outside", presets)
+    code, out, err = run_cli("safe-distance", "--preset", name, "--limit", "ICNIRP")
+    assert (code, out, err.decode()) == (
+        1, b"", f"error: unknown preset '{name}' (available: wearable-2.4ghz, wearable-60ghz)\n")
+    with pytest.raises(ScenarioError, match="^unknown preset"):
+        load_preset(name)
 
 
 def test_safe_distance_prints_a_distance():
@@ -147,22 +161,30 @@ def test_a_pattern_average_that_underflows_to_zero_is_named(tmp_path):
                        b"361-sample grid\n")
 
 
-@pytest.mark.parametrize("value, written", [
-    # YAML 1.1 reads these as strings: a float needs a dot and a signed exponent
+@pytest.mark.parametrize("value, same_as", [
+    # decimal exponent forms are floats, with or without a dot in the mantissa
+    # or a sign in the exponent
     ("2e+9", "2.0e+9"), ("2e9", "2.0e+9"), ("2.16e9", "2.16e+9"),
-    # strings too, but no exponent can mend them; nor can it mend a quoted float
+    # strings, which no exponent form mends; nor is a quoted float a number
     ("nan", None), ("inf", None), ("'2.16e+9'", None),
 ])
-def test_only_exponent_forms_that_yaml_reads_as_strings_get_the_hint(tmp_path, value, written):
+def test_exponent_forms_sweep_as_floats_and_strings_are_refused(tmp_path, value, same_as):
     text = serialize_scenario(load_preset("wearable-60ghz"))
-    scenario = tmp_path / "hint.yaml"
-    scenario.write_text(text.replace("bandwidth_hz: 2160000000.0", f"bandwidth_hz: {value}"))
-    code, out, err = run_cli("sweep", "--scenario", str(scenario))
-    message = "error: link: bandwidth_hz must be a finite number > 0"
-    if written is not None:
-        message += (f" (YAML reads {value!r} as a string; write the mantissa with a dot and "
-                    f"the exponent with a sign, as in {written}, or spell the number out)")
-    assert (code, out, err.decode()) == (1, b"", message + "\n")
+    assert "bandwidth_hz: 2160000000.0\n" in text
+
+    def sweep_with(bandwidth):
+        scenario = tmp_path / "bandwidth.yaml"
+        scenario.write_text(text.replace("bandwidth_hz: 2160000000.0",
+                                         f"bandwidth_hz: {bandwidth}"))
+        return run_cli("sweep", "--scenario", str(scenario))
+
+    if same_as is None:
+        assert sweep_with(value) == (
+            1, b"", b"error: link: bandwidth_hz must be a finite number > 0\n")
+    else:
+        expected = sweep_with(same_as)
+        assert expected[0] == 0
+        assert sweep_with(value) == expected
 
 
 def test_a_file_that_is_not_utf8_is_named_with_the_position(tmp_path):
@@ -458,6 +480,21 @@ def test_listing_the_presets_does_not_import_yaml():
             "    status = cli.main(['presets'])\n"
             "print(json.dumps({'code': status, 'yaml': 'yaml' in sys.modules}))\n")
     assert run_python(code) == {"code": 0, "yaml": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["presets"], ["safe-distance", "--preset", "wearable-60ghz", "--limit", "FCC"]])
+def test_preset_calls_import_no_path_or_resource_layer(argv):
+    # -S: no site, whose imports would hide the CLI's own; PyYAML through PYTHONPATH
+    path = os.pathsep.join(os.path.dirname(os.path.dirname(module.__file__))
+                           for module in (wearemf, yaml))
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "wearemf", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr.decode()
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    assert "wearemf.cli" in imported
+    assert imported & {"importlib.resources", "pathlib", "tempfile"} == set()
 
 
 def test_cli_on_the_presets_never_imports_numpy(tmp_path):

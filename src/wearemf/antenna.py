@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 __all__ = ["PatternModel", "AntennaConfig", "gain_dbi"]
@@ -88,7 +87,10 @@ def _real(value, name: str, above: float | None = None) -> float:
     """``value`` as a float, if it is a finite real number (``_is_real``) greater
     than ``above`` when that is given; else a ValueError naming the field."""
     if type(value) is not float:
-        value = float(value) if _is_real(value) and abs(value) <= sys.float_info.max else math.nan
+        try:
+            value = float(value) if _is_real(value) else math.nan
+        except OverflowError:  # an int or a Fraction beyond the double range
+            value = math.nan
     if not (math.isfinite(value) and (above is None or value > above)):
         bound = "" if above is None else f" > {above!r}"
         raise ValueError(f"{name} must be a finite number{bound}")

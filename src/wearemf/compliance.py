@@ -123,14 +123,17 @@ def min_safe_distance(
         f"imprecise to locate the {limit.name} crossing")
 
 
-def _check_distances(distances: Sequence[float], name: str) -> None:
-    """Raise ValueError naming ``name`` unless ``distances`` suit ``sweep``."""
+def _check_distances(distances: Sequence[float], name: str) -> list[float]:
+    """``distances`` as floats, if they suit ``sweep``; else a ValueError naming ``name``."""
+    checked: list[float] = []
     previous = 0.0
-    for d in distances:
-        try:
+    try:
+        for d in distances:
             previous = _real(d, name, previous)
-        except ValueError:
-            raise ValueError(f"{name} must be positive and strictly increasing") from None
+            checked.append(previous)
+    except ValueError:
+        raise ValueError(f"{name} must be positive and strictly increasing") from None
+    return checked
 
 
 def sweep(
@@ -142,21 +145,22 @@ def sweep(
     """One ExposureResult per distance, boresight link plus averaged SAR.
 
     Distances must be strictly increasing, positive, finite real
-    numbers; an empty sequence yields an empty list.  Row order matches
-    input order.  Rows equal fspl_db, snr_db, shannon_rate_bps,
-    power_density, sar_boundary and sar_avg at their distance, bit for
-    bit.
+    numbers, and the rows hold them as floats; an empty sequence yields
+    an empty list.  Row order matches input order.  Rows equal fspl_db,
+    snr_db, shannon_rate_bps, power_density, sar_boundary and sar_avg at
+    their distance, bit for bit.
 
     Every column is monotone in the distance, so only the first row
-    can overflow, underflow or divide by zero.  That row alone is
-    checked, in the scalar chain's order: both power densities, then
-    the Shannon rate, then both SARs, each overflow raising
+    can overflow, underflow or divide by zero, and only the last row's
+    SNR can fall to -inf.  The first row is checked in the scalar
+    chain's order: both power densities, then the Shannon rate, then
+    both SARs; then the last row's SNR.  Each overflow raises
     OverflowError naming its distance.  The rows are then plain float
     arithmetic on the chain's per-scenario constants, in the scalar
     chain's operation order.  They skip ExposureResult's checks, which
     cannot fail on them, and equal the records its constructor builds.
     """
-    _check_distances(distances, "distances")
+    distances = _check_distances(distances, "distances")
     chain = _Chain(scenario, tissue, quadrature)
     # summed in snr_db's order, with gain_dbi's boresight value g_max_dbi: equal SNRs
     budget_dbm = scenario.tx_power_dbm + scenario.tx_antenna.g_max_dbi + scenario.rx_gain_dbi
@@ -172,16 +176,23 @@ def sweep(
         pds = [_power_density(pg, d) for pg in (pg_boresight, pg_mean)]
         snr = budget_dbm - (20.0 * math.log10(d) + carrier_db - 27.55) - noise_dbm
         try:
-            shannon_rate_bps(bandwidth, snr)
-        except OverflowError as exc:
+            rate = shannon_rate_bps(bandwidth, snr)
+        except OverflowError:  # the linear SNR overflows
+            rate = math.inf
+        if rate == math.inf:
             raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
-                                "for the Shannon rate") from exc
+                                "for the Shannon rate")
         for pd in pds:
             _boundary_sar(pd, transmitted, slab, d)
+    # the farthest row alone can have an SNR of -inf
+    for d in distances[-1:]:
+        if budget_dbm - (20.0 * math.log10(d) + carrier_db - 27.55) - noise_dbm == -math.inf:
+            raise OverflowError(f"SNR overflows to -inf dB at distance {d!r} m")
 
-    # ExposureResult's checks cannot fail here: the distances are checked, and
-    # every other column is B*log1p(>= 0)/ln 2 or a product or quotient of
-    # positive constants; so each row gets its fields at once, in field order
+    # ExposureResult's checks cannot fail here: the distances are checked floats,
+    # the checks above keep every column finite, and every column but the first
+    # three is B*log1p(>= 0)/ln 2 or a product or quotient of positive constants;
+    # so each row gets its fields at once, in field order
     new, set_fields, log10, log1p = object.__new__, object.__setattr__, math.log10, math.log1p
     rows: list[ExposureResult] = []
     append = rows.append

@@ -19,11 +19,11 @@ import cmath
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
 
-from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs, _is_real,
+from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs,
                       _parabolic_dbs, _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
@@ -107,12 +107,7 @@ class TissueProperties:
 
 @dataclass(frozen=True)
 class ExposureResult:
-    """One distance sample of link and exposure quantities.
-
-    Each value is stored as given.  It must be a real number other than
-    a bool, and one that converts to a double, as emission converts it;
-    non-finite floats are kept, and JSON emission refuses them.
-    """
+    """One distance sample of link and exposure quantities, each a finite float."""
 
     distance_m: float
     path_loss_db: float
@@ -123,23 +118,14 @@ class ExposureResult:
     avg_sar_w_per_kg: float
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{name} must lie within the double range") from None
+        for field in fields(self):
+            object.__setattr__(self, field.name, _real(getattr(self, field.name), field.name))
         if not self.distance_m > 0.0:
             raise ValueError("distance_m must be > 0")
-        if self.rate_bps < 0.0:
-            raise ValueError("rate_bps must be >= 0")
-        if self.boresight_pd_w_per_m2 < 0.0:
-            raise ValueError("boresight_pd_w_per_m2 must be >= 0")
-        if self.boresight_sar_w_per_kg < 0.0:
-            raise ValueError("boresight_sar_w_per_kg must be >= 0")
-        if self.avg_sar_w_per_kg < 0.0:
-            raise ValueError("avg_sar_w_per_kg must be >= 0")
+        for name in ("rate_bps", "boresight_pd_w_per_m2", "boresight_sar_w_per_kg",
+                     "avg_sar_w_per_kg"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:

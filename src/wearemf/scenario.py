@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import numbers
 import operator
 import os
 import re
@@ -68,10 +67,9 @@ class SweepGrid:
                 raise ValueError("give either start/stop/points or distances_m, not both")
             if not isinstance(self.distances_m, (list, tuple)):
                 raise ValueError("distances_m must be a list or tuple of numbers")
-            distances = tuple(_real(d, "distances_m") for d in self.distances_m)
+            distances = tuple(_check_distances(self.distances_m, "distances_m"))
             if not distances:
                 raise ValueError("distances_m must hold at least one distance")
-            _check_distances(distances, "distances_m")
             object.__setattr__(self, "distances_m", distances)
             return
         if any(v is None for v in linear):
@@ -235,15 +233,18 @@ def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
     return _parse_text(source)
 
 
-# YAML 1.2's decimal exponent forms; YAML 1.1 reads one as a float only with
-# a dot in the mantissa and a sign in the exponent (2.4e+9, but not 2.4e9)
-_EXPONENT_FLOAT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$"
+# YAML 1.2's decimal exponent forms and signed forms with no digit before the
+# dot; YAML 1.1 reads an exponent form as a float only with a dot in the
+# mantissa and a sign in the exponent (2.4e+9, but not 2.4e9), and signs only
+# a leading digit (-0.5, but not -.5)
+_EXPONENT_FLOAT = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+$|[-+]\.[0-9]+$"
 
 
 @functools.lru_cache(maxsize=None)
 def _yaml_classes():
-    """PyYAML's safe loader and dumper, each also resolving the exponent forms
-    as floats, so that a string such as '1e3' is dumped quoted."""
+    """PyYAML's safe loader and dumper, each also resolving the forms of
+    ``_EXPONENT_FLOAT`` as floats, so that a string such as '1e3' or '-.5'
+    is dumped quoted."""
     import yaml
 
     classes = (type("Loader", (yaml.SafeLoader,), {}), type("Dumper", (yaml.SafeDumper,), {}))
@@ -369,43 +370,19 @@ _CSV_LINE = ",".join(["%.8e"] * len(CSV_FIELDS)) + "\n"
 _JSON_OBJECT = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "\n  }"
 
 
-def _json_number(value) -> str:
-    """An integer (numpy's too) as ``int.__repr__``; any other real as the
-    shortest repr of the double it converts to, the double CSV prints."""
-    if isinstance(value, numbers.Integral):
-        return int.__repr__(int(value))
-    return float.__repr__(float(value))
-
-
-# the types that ``%s`` prints as ``float.__repr__`` and ``int.__repr__`` do
-_PLAIN_NUMBERS = frozenset((float, int))
-
-
 def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     """Serialize sweep rows as CSV or JSON bytes.
 
     CSV carries one row per distance with the fixed header in
     CSV_FIELDS and values in scientific notation with 9 significant
-    digits; JSON is an array of objects with the same field names, and
-    a non-finite value raises ValueError rather than emit invalid JSON.
-    For float and int values (bools aside) the JSON bytes are those of
-    ``json.dumps(payload, indent=2, allow_nan=False) + "\n"``: shortest
-    round-trip floats (``float.__repr__``, so numpy.float64 values too)
-    and ``int.__repr__`` integers.  Other reals, which ``json.dumps``
-    refuses, print as well: numpy integers as ints, and any other real
-    (a Fraction, say) as the shortest repr of its double, the double
-    that CSV prints.  Output is bit-identical across runs for identical
-    inputs.
+    digits; JSON is an array of objects with the same field names, the
+    bytes of ``json.dumps(payload, indent=2) + "\n"``.  Rows hold finite
+    floats, so JSON never meets inf or nan.  Output is bit-identical
+    across runs for identical inputs.
 
     The rows' values are flattened into one tuple, and the whole output
-    is one ``%`` operation on a template with a slot per value.  When
-    every value is a plain float or int, the JSON slots are ``%s`` on the
-    values themselves; a finite float or an int never prints ``inf`` or
-    ``nan``, nor does a field name, so the output is searched for those
-    two, and only on a hit are the values looked through for the one
-    to name.  Values of other types are first turned into text one by
-    one: numpy's str() of a float64 follows its print options, and str()
-    of a bool is not ``int.__repr__``.
+    is one ``%`` operation on a template with a slot per value, ``%s``
+    printing each float as ``float.__repr__`` does.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
@@ -416,13 +393,4 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     if not count:
         return b"[]\n"
     template = "[\n" + ",\n".join([_JSON_OBJECT] * count) + "\n]\n"
-    if _PLAIN_NUMBERS.issuperset(map(type, values)):
-        text = template % values
-        if "inf" not in text and "nan" not in text:
-            return text.encode("ascii")
-    texts = list(map(_json_number, values))
-    # finite floats and ints never print an "n"; inf and nan do
-    if "n" in "".join(texts):
-        bad = next(value for value, text in zip(values, texts) if "n" in text)
-        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-    return (template % tuple(texts)).encode("ascii")
+    return (template % values).encode("ascii")

@@ -1,6 +1,7 @@
 """Gain pattern behavior: bounds, symmetry, lobe shapes, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,17 @@ def test_integral_float_element_count_is_stored_as_int():
     assert type(config.n_elements) is int
     assert config == AntennaConfig(PatternModel.LINEAR_ARRAY_FACTOR, g_max_dbi=10.0,
                                    n_elements=4)
+
+
+@pytest.mark.parametrize("scalar", [np.float32, np.float16])
+def test_a_narrow_numpy_float_converts_without_a_warning(scalar):
+    # numpy casts a Python bound compared with such a value down to its own width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = AntennaConfig(PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=scalar(3.0))
+        assert type(config.g_max_dbi) is float and config.g_max_dbi == 3.0
+        with pytest.raises(ValueError, match="^g_max_dbi must be a finite number$"):
+            AntennaConfig(PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=scalar("inf"))
 
 
 def test_rejects_non_enum_model():

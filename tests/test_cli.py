@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -161,6 +162,17 @@ def test_a_pattern_average_that_underflows_to_zero_is_named(tmp_path):
                        b"361-sample grid\n")
 
 
+def test_a_sweep_whose_shannon_rate_overflows_exits_2(tmp_path):
+    # k*T*B is finite, but B*log2(1 + SNR) is not: no row prints inf
+    scenario = write_scenario(tmp_path / "wide.yaml", "link", bandwidth_hz=1.5e308,
+                              temperature_k=1e-300, tx_power_dbm=0.0)
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli("sweep", "--scenario", str(scenario), "--format", fmt)
+        assert (code, out) == (2, b"")
+        assert re.fullmatch(rb"error: SNR of \S+ dB at distance \S+ m is too large for "
+                            rb"the Shannon rate\n", err)
+
+
 @pytest.mark.parametrize("value, same_as", [
     # decimal exponent forms are floats, with or without a dot in the mantissa
     # or a sign in the exponent
@@ -185,6 +197,23 @@ def test_exponent_forms_sweep_as_floats_and_strings_are_refused(tmp_path, value,
         expected = sweep_with(same_as)
         assert expected[0] == 0
         assert sweep_with(value) == expected
+
+
+@pytest.mark.parametrize("value, same_as", [("-.5", "-0.5"), ("+.5", "0.5")])
+def test_a_signed_number_with_no_digit_before_the_dot_sweeps_as_a_float(
+        tmp_path, value, same_as):
+    text = serialize_scenario(load_preset("wearable-60ghz"))
+    assert "boresight_elevation_deg: 0.0\n" in text
+
+    def sweep_with(elevation):
+        scenario = tmp_path / "elevation.yaml"
+        scenario.write_text(text.replace("boresight_elevation_deg: 0.0",
+                                         f"boresight_elevation_deg: {elevation}"))
+        return run_cli("sweep", "--scenario", str(scenario))
+
+    expected = sweep_with(same_as)
+    assert expected[0] == 0
+    assert sweep_with(value) == expected
 
 
 def test_a_file_that_is_not_utf8_is_named_with_the_position(tmp_path):

@@ -195,6 +195,20 @@ def test_sweep_rejects_unordered_distances():
             sweep(P60.scenario, P60.tissue, distances)
 
 
+@pytest.mark.parametrize("changes, message", [
+    # k*T*B is finite, but B*log2(1 + SNR) overflows at a modest SNR
+    (dict(bandwidth_hz=1.5e308, temperature_k=1e-300, tx_power_dbm=0.0),
+     r"^SNR of 64\.\d+ dB at distance 1\.0 m is too large for the Shannon rate$"),
+    # the budget and the noise floor lie so far apart that the SNR is -inf
+    (dict(rx_gain_dbi=-1e308, noise_figure_db=1e308),
+     r"^SNR overflows to -inf dB at distance 3\.0 m$"),
+], ids=["rate-inf", "snr-minus-inf"])
+def test_sweep_refuses_rows_that_would_not_be_finite(changes, message):
+    scenario = dataclasses.replace(P60.scenario, **changes)
+    with pytest.raises(OverflowError, match=message):
+        sweep(scenario, P60.tissue, [1.0, 2.0, 3.0], P60.quadrature)
+
+
 def test_sweep_rows_are_internally_consistent():
     rows = sweep(P60.scenario, P60.tissue, [0.002, 0.01, 0.05, 0.2],
                  P60.quadrature)
@@ -298,10 +312,13 @@ def test_sweep_rows_cannot_be_told_from_constructed_ones(preset):
             dataclasses.replace(row, distance_m=-1.0)
 
 
-def test_sweep_keeps_int_distances():
-    rows = sweep(P60.scenario, P60.tissue, [1, 2, 3], P60.quadrature)
-    assert [row.distance_m for row in rows] == [1, 2, 3]
-    assert all(type(row.distance_m) is int for row in rows)
+@pytest.mark.parametrize("distances", [
+    [1, 2, 3], np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]),
+    [np.int64(1), np.float32(2.0), np.float64(3.0)],
+], ids=["ints", "numpy-ints", "numpy-floats", "numpy-scalars"])
+def test_sweep_rows_hold_float_distances(distances):
+    rows = sweep(P60.scenario, P60.tissue, distances, P60.quadrature)
+    assert all(type(value) is float for row in rows for value in dataclasses.astuple(row))
     assert rows == sweep(P60.scenario, P60.tissue, [1.0, 2.0, 3.0], P60.quadrature)
 
 

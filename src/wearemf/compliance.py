@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -155,10 +156,11 @@ def sweep(
     SNR can fall to -inf.  The first row is checked in the scalar
     chain's order: both power densities, then the Shannon rate, then
     both SARs; then the last row's SNR.  Each overflow raises
-    OverflowError naming its distance.  The rows are then plain float
-    arithmetic on the chain's per-scenario constants, in the scalar
-    chain's operation order.  They skip ExposureResult's checks, which
-    cannot fail on them, and equal the records its constructor builds.
+    OverflowError naming its distance.  The columns are then plain
+    float arithmetic on the chain's per-scenario constants, in the
+    scalar chain's operation order, and its rows are built as tuples
+    from the columns: ExposureResult's checks cannot fail on them, and
+    they equal the records its constructor builds.
     """
     distances = _check_distances(distances, "distances")
     chain = _Chain(scenario, tissue, quadrature)
@@ -191,22 +193,14 @@ def sweep(
 
     # ExposureResult's checks cannot fail here: the distances are checked floats,
     # the checks above keep every column finite, and every column but the first
-    # three is B*log1p(>= 0)/ln 2 or a product or quotient of positive constants;
-    # so each row gets its fields at once, in field order
-    new, set_fields, log10, log1p = object.__new__, object.__setattr__, math.log10, math.log1p
-    rows: list[ExposureResult] = []
-    append = rows.append
-    for d in distances:
-        loss = 20.0 * log10(d) + carrier_db - 27.55
-        snr = budget_dbm - loss - noise_dbm
-        area = _FOUR_PI * (d * d)
-        pd_boresight = pg_boresight / area
-        row = new(ExposureResult)
-        set_fields(row, "__dict__", {
-            "distance_m": d, "path_loss_db": loss, "snr_db": snr,
-            "rate_bps": bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2,
-            "boresight_pd_w_per_m2": pd_boresight,
-            "boresight_sar_w_per_kg": 2.0 * pd_boresight * transmitted / slab,
-            "avg_sar_w_per_kg": 2.0 * (pg_mean / area) * transmitted / slab})
-        append(row)
-    return rows
+    # three is B*log1p(>= 0)/ln 2 or a product or quotient of positive constants
+    log10, log1p = math.log10, math.log1p
+    losses = [20.0 * log10(d) + carrier_db - 27.55 for d in distances]
+    snrs = [budget_dbm - loss - noise_dbm for loss in losses]
+    rates = [bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2 for snr in snrs]
+    areas = [_FOUR_PI * (d * d) for d in distances]
+    pds = [pg_boresight / area for area in areas]
+    sars = [2.0 * pd * transmitted / slab for pd in pds]
+    avg_sars = [2.0 * (pg_mean / area) * transmitted / slab for area in areas]
+    return list(map(functools.partial(tuple.__new__, ExposureResult),
+                    zip(distances, losses, snrs, rates, pds, sars, avg_sars)))

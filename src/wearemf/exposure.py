@@ -19,7 +19,8 @@ import cmath
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -105,27 +106,28 @@ class TissueProperties:
             raise ValueError("rel_permittivity must have a positive real part")
 
 
-@dataclass(frozen=True)
-class ExposureResult:
+class ExposureResult(namedtuple("ExposureResult", (
+        "distance_m", "path_loss_db", "snr_db", "rate_bps", "boresight_pd_w_per_m2",
+        "boresight_sar_w_per_kg", "avg_sar_w_per_kg"))):
     """One distance sample of link and exposure quantities, each a finite float."""
 
-    distance_m: float
-    path_loss_db: float
-    snr_db: float
-    rate_bps: float
-    boresight_pd_w_per_m2: float
-    boresight_sar_w_per_kg: float
-    avg_sar_w_per_kg: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            object.__setattr__(self, field.name, _real(getattr(self, field.name), field.name))
-        if not self.distance_m > 0.0:
+    def __new__(cls, *args, **kwargs):  # unpickling and copy.copy build through it too
+        values = tuple(map(_real, super().__new__(cls, *args, **kwargs), cls._fields))
+        if not values[0] > 0.0:
             raise ValueError("distance_m must be > 0")
-        for name in ("rate_bps", "boresight_pd_w_per_m2", "boresight_sar_w_per_kg",
-                     "avg_sar_w_per_kg"):
-            if getattr(self, name) < 0.0:
+        for name, value in zip(cls._fields[3:], values[3:]):
+            if value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
+        return tuple.__new__(cls, values)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:

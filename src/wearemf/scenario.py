@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -363,7 +362,6 @@ def load_preset(name: str) -> ScenarioFile:
     return _parse_text(_read_text(os.path.join(_PRESET_DIR, f"{name}.yaml")))
 
 
-_ROW_VALUES = operator.attrgetter(*(field.name for field in dataclasses.fields(ExposureResult)))
 _CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
 _CSV_LINE = ",".join(["%.8e"] * len(CSV_FIELDS)) + "\n"
 # one array element in json.dumps(..., indent=2)'s layout
@@ -378,7 +376,8 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     digits; JSON is an array of objects with the same field names, the
     bytes of ``json.dumps(payload, indent=2) + "\n"``.  Rows hold finite
     floats, so JSON never meets inf or nan.  Output is bit-identical
-    across runs for identical inputs.
+    across runs for identical inputs.  An item that is not an
+    ExposureResult raises ValueError naming its index and type.
 
     The rows' values are flattened into one tuple, and the whole output
     is one ``%`` operation on a template with a slot per value, ``%s``
@@ -386,11 +385,14 @@ def emit_results(rows: Sequence[ExposureResult], fmt: str = "csv") -> bytes:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"fmt must be 'csv' or 'json', got {fmt!r}")
-    values = tuple(itertools.chain.from_iterable(map(_ROW_VALUES, rows)))
-    count = len(values) // len(CSV_FIELDS)
+    rows = list(rows)
+    if not set(map(type, rows)) <= {ExposureResult}:
+        index, row = next((i, row) for i, row in enumerate(rows) if type(row) is not ExposureResult)
+        raise ValueError(f"row {index} is a {type(row).__name__}, not an ExposureResult")
+    values = tuple(itertools.chain.from_iterable(rows))
     if fmt == "csv":
-        return (_CSV_HEADER + _CSV_LINE * count % values).encode("ascii")
-    if not count:
+        return (_CSV_HEADER + _CSV_LINE * len(rows) % values).encode("ascii")
+    if not rows:
         return b"[]\n"
-    template = "[\n" + ",\n".join([_JSON_OBJECT] * count) + "\n]\n"
+    template = "[\n" + ",\n".join([_JSON_OBJECT] * len(rows)) + "\n]\n"
     return (template % values).encode("ascii")

@@ -1,9 +1,11 @@
 """Power density, reflection, boundary SAR, and the angle-averaged SAR."""
 
 import bisect
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -793,12 +795,21 @@ def test_exposure_result_refuses_values_emission_cannot_print(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
         ExposureResult(**{**_ROW, field: value})
     with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
-        dataclasses.replace(ExposureResult(**_ROW), **{field: value})
+        ExposureResult(**_ROW)._replace(**{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number$"):
+        ExposureResult._make({**_ROW, field: value}.values())
 
 
 def test_exposure_result_stores_floats():
     values = (np.float64(0.01), 10**20, Fraction(1, 3), np.int64(5), np.float32(0.5), 0,
               2.0**1023)
     row = ExposureResult(*values)
-    assert all(type(value) is float for value in dataclasses.astuple(row))
-    assert dataclasses.astuple(row) == tuple(float(value) for value in values)
+    assert all(type(value) is float for value in tuple(row))
+    assert tuple(row) == tuple(float(value) for value in values)
+
+
+def test_exposure_result_unpickles_and_copies_through_its_checks():
+    forged = tuple.__new__(ExposureResult, (-1.0, *tuple(_ROW.values())[1:]))
+    for rebuild in (lambda: pickle.loads(pickle.dumps(forged)), lambda: copy.copy(forged)):
+        with pytest.raises(ValueError, match="^distance_m must be > 0$"):
+            rebuild()

@@ -464,8 +464,20 @@ def test_emit_rejects_unknown_format():
         emit_results(_rows(), "xml")
 
 
+@pytest.mark.parametrize("item, kind", [
+    ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0), "tuple"),
+    (tuple("abcdefg"), "tuple"),
+    (dict(zip(CSV_FIELDS, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0))), "dict"),
+    ((1.0, 2.0, 3.0, 4.0, 5.0, 6.0), "tuple"),
+], ids=["float-7-tuple", "str-7-tuple", "dict", "6-tuple"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_refuses_items_that_are_not_rows(item, kind, fmt):
+    with pytest.raises(ValueError, match=f"^row 1 is a {kind}, not an ExposureResult$"):
+        emit_results(iter([_rows()[0], item]), fmt)
+
+
 def test_json_prints_every_value_as_a_float():
-    rows = [dataclasses.replace(_rows()[0], distance_m=5, snr_db=np.int64(5))]
+    rows = [_rows()[0]._replace(distance_m=5, snr_db=np.int64(5))]
     data = emit_results(rows, "json")
     assert data == _reference_emission(rows, "json")
     assert b'"distance_m": 5.0,' in data and b'"snr_db": 5.0,' in data
@@ -494,8 +506,7 @@ def test_csv_precision_holds_for_arbitrary_rows(distance, loss, snr, rate,
 
 # the emitters as they were first written, kept as the byte-level reference
 def _reference_emission(rows, fmt):
-    records = [tuple(getattr(row, field.name) for field in dataclasses.fields(row))
-               for row in rows]
+    records = [tuple(getattr(row, name) for name in ExposureResult._fields) for row in rows]
     if fmt == "csv":
         lines = [",".join(CSV_FIELDS)]
         lines.extend(",".join(f"{value:.8e}" for value in record) for record in records)
@@ -557,9 +568,9 @@ def test_json_of_numpy_values_does_not_follow_numpy_print_options():
     # str(numpy.float64(0.1 + 0.2)) is "0.3" under the legacy print options
     rows = sweep(_P60.scenario, _P60.tissue, np.geomspace(1e-3, 1.0, 5) + 0.1 + 0.2,
                  _P60.quadrature)
-    built = [ExposureResult(*map(np.float64, dataclasses.astuple(row))) for row in rows]
+    built = [ExposureResult(*map(np.float64, row)) for row in rows]
     assert built == rows
-    assert all(type(value) is float for row in rows + built for value in dataclasses.astuple(row))
+    assert all(type(value) is float for row in rows + built for value in row)
     with np.printoptions(legacy="1.13"):
         assert emit_results(rows, "json") == _reference_emission(rows, "json")
         assert emit_results(built, "json") == _reference_emission(rows, "json")
@@ -575,7 +586,7 @@ _ANY_VALUE = st.one_of(
 
 # a row that builds is a row that emits, each value as the float it converts to
 @given(changes=st.lists(st.dictionaries(
-    st.sampled_from([field.name for field in dataclasses.fields(ExposureResult)]), _ANY_VALUE),
+    st.sampled_from(ExposureResult._fields), _ANY_VALUE),
     min_size=1, max_size=3))
 @example(changes=[{"distance_m": np.int64(5), "snr_db": Fraction(1, 3)}])
 @example(changes=[{"path_loss_db": 10**400}])
@@ -584,10 +595,10 @@ def test_every_row_that_builds_emits(changes):
     rows, built_from = [], []
     for change in changes:
         try:
-            rows.append(dataclasses.replace(_rows()[0], **change))
+            rows.append(_rows()[0]._replace(**change))
         except ValueError:
             continue
-        built_from.append({**dataclasses.asdict(_rows()[0]), **change}.values())
+        built_from.append({**_rows()[0]._asdict(), **change}.values())
     assert len(emit_results(rows, "csv").decode().splitlines()) == len(rows) + 1
     assert [list(printed.values()) for printed in json.loads(emit_results(rows, "json"))] == [
         [float(value) for value in values] for values in built_from]

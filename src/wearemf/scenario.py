@@ -4,7 +4,9 @@ Scenario files are YAML with nested key-value sections (documented in
 the README).  Each section's keys are the fields of the record it
 builds, with the fields' defaults.  Loading is strict: unknown keys
 are rejected by name, an explicit null is refused, and the record a
-value lands in checks it.
+value lands in checks it.  User text is read with PyYAML; the shipped
+presets are written in YAML's JSON-compatible form and read with the
+standard library's ``json``, to the same document.
 """
 
 from __future__ import annotations
@@ -355,11 +357,17 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str) -> ScenarioFile:
-    """Load a built-in preset by a name that ``preset_names`` lists."""
+    """Load a built-in preset by a name that ``preset_names`` lists.
+
+    The preset files are YAML in its JSON-compatible form, so they are
+    read with ``json`` rather than PyYAML, which this never imports.
+    """
+    import json
+
     known = preset_names()
     if name not in known:
         raise ScenarioError(f"unknown preset '{name}' (available: {', '.join(known)})")
-    return _parse_text(_read_text(os.path.join(_PRESET_DIR, f"{name}.yaml")))
+    return _parse_document(json.loads(_read_text(os.path.join(_PRESET_DIR, f"{name}.yaml"))))
 
 
 _CSV_HEADER = ",".join(CSV_FIELDS) + "\n"

@@ -31,6 +31,7 @@ from wearemf import (
     serialize_scenario,
     sweep,
 )
+from wearemf.scenario import _PRESET_DIR, _parse_document, _yaml_classes
 
 MINIMAL = """
 link:
@@ -91,6 +92,17 @@ def test_24ghz_preset_fields():
 def test_unknown_preset_names_the_alternatives():
     with pytest.raises(ScenarioError, match="wearable-60ghz"):
         load_preset("no-such-thing")
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_json_and_pyyaml_read_each_preset_alike(name):
+    # load_preset reads a preset with json, and --scenario reads a copy with PyYAML
+    with open(f"{_PRESET_DIR}/{name}.yaml", encoding="utf-8") as file:
+        text = file.read()
+    by_yaml = yaml.load(text, _yaml_classes()[0])
+    # json.dumps tells 361 from 361.0 and true from 1, so the types must agree too
+    assert json.dumps(json.loads(text)) == json.dumps(by_yaml)
+    assert _parse_document(by_yaml) == load_preset(name)
 
 
 def test_load_from_text_and_from_path(tmp_path):

@@ -19,10 +19,9 @@ from .scenario import (
     ScenarioError,
     ScenarioFile,
     SweepGrid,
-    _parse_text,
-    _read_text,
     emit_results,
     load_preset,
+    load_scenario,
     preset_names,
 )
 
@@ -73,8 +72,7 @@ def _add_scenario_options(cmd: argparse.ArgumentParser) -> None:
 
 def _load(args: argparse.Namespace) -> ScenarioFile:
     if args.scenario is not None:
-        # a path whatever characters it holds, never YAML text
-        loaded = _parse_text(_read_text(args.scenario))
+        loaded = load_scenario(args.scenario)
     else:
         loaded = load_preset(args.preset)
     if args.quadrature_samples is not None:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 from .antenna import _real
 from .exposure import (_FOUR_PI, ExposureResult, QuadratureSpec, TissueProperties, _Chain,
@@ -79,7 +79,7 @@ def min_safe_distance(
     limit: ComplianceLimit,
     search: DistanceSearch = DistanceSearch(),
     quadrature: QuadratureSpec = QuadratureSpec(),
-) -> Union[float, str]:
+) -> float | str:
     """Smallest compliant separation in [d_lo_m, d_hi_m].
 
     The averaged SAR is K/d^2, so the limit is crossed at

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass
@@ -72,26 +71,25 @@ class QuadratureSpec:
 class TissueProperties:
     """Dielectric and geometric skin parameters at the carrier frequency.
 
-    ``rel_permittivity`` follows the engineering convention
-    eps' - j*eps'' with a non-negative loss term.  When
-    ``reflection_override`` is set it replaces the Fresnel value in
-    every boundary calculation; leave it None to derive the
-    reflection coefficient from the permittivity.
+    The relative permittivity eps' - j*eps'' is held as its two parts:
+    ``rel_permittivity_real`` is eps' and ``rel_permittivity_imag`` the
+    loss term eps'' >= 0; ``rel_permittivity`` is the complex value.
+    When ``reflection_override`` is set it replaces the Fresnel value in
+    every boundary calculation; leave it None to derive the reflection
+    coefficient from the permittivity, which then needs eps' > 0.
     """
 
-    rel_permittivity: complex = complex(1.0, 0.0)
+    rel_permittivity_real: float = 1.0
+    rel_permittivity_imag: float = 0.0
     mass_density_kg_per_m3: float = 1000.0
     penetration_depth_m: float = 1e-3
     reflection_override: float | None = None
 
     def __post_init__(self) -> None:
-        eps = self.rel_permittivity
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Complex):
-            raise ValueError("rel_permittivity must be a complex number")
-        eps = complex(_real(eps.real, "rel_permittivity"), _real(eps.imag, "rel_permittivity"))
-        if eps.imag > 0.0:
-            raise ValueError("rel_permittivity must be eps' - j*eps'' with a loss term eps'' >= 0")
-        object.__setattr__(self, "rel_permittivity", eps)
+        for name in ("rel_permittivity_real", "rel_permittivity_imag"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.rel_permittivity_imag < 0.0:
+            raise ValueError("rel_permittivity_imag must be >= 0")
         for name in ("mass_density_kg_per_m3", "penetration_depth_m"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         if not 0.0 < self.penetration_depth_m * self.mass_density_kg_per_m3 < math.inf:
@@ -102,8 +100,14 @@ class TissueProperties:
                                _real(self.reflection_override, "reflection_override"))
             if not 0.0 <= self.reflection_override < 1.0:
                 raise ValueError("reflection_override must lie in [0, 1)")
-        elif eps.real <= 0.0:
-            raise ValueError("rel_permittivity must have a positive real part")
+        elif self.rel_permittivity_real <= 0.0:
+            raise ValueError("rel_permittivity_real must be > 0 unless reflection_override "
+                             "is set")
+
+    @property
+    def rel_permittivity(self) -> complex:
+        """The complex relative permittivity eps' - j*eps''."""
+        return complex(self.rel_permittivity_real, -self.rel_permittivity_imag)
 
 
 class ExposureResult(namedtuple("ExposureResult", (

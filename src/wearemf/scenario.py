@@ -4,9 +4,11 @@ Scenario files are YAML with nested key-value sections (documented in
 the README).  Each section's keys are the fields of the record it
 builds, with the fields' defaults.  Loading is strict: unknown keys
 are rejected by name, an explicit null is refused, and the record a
-value lands in checks it.  User text is read with PyYAML; the shipped
-presets are written in YAML's JSON-compatible form and read with the
-standard library's ``json``, to the same document.
+value lands in checks it.  ``load_scenario`` reads a file and
+``parse_scenario`` text, both with PyYAML, and ``serialize_scenario``
+writes the text back.  The shipped presets are written in YAML's
+JSON-compatible form and read with the standard library's ``json``,
+to the same document.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import functools
 import itertools
 import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 from .antenna import _MAX_SAMPLES, AntennaConfig, PatternModel, _real, _whole_number
 from .compliance import BUILTIN_LIMITS, ComplianceLimit, _check_distances
@@ -30,6 +32,7 @@ __all__ = [
     "SweepGrid",
     "ScenarioFile",
     "load_scenario",
+    "parse_scenario",
     "serialize_scenario",
     "preset_names",
     "load_preset",
@@ -168,19 +171,6 @@ def _record(record, section: str, raw, **given):
     return built
 
 
-def _parse_tissue(raw) -> TissueProperties:
-    raw = _mapping("tissue", raw)
-    # eps' - j*eps'': the loss term is -imag, taken as 0.0 - imag so zero stays +0.0
-    default = TissueProperties.rel_permittivity
-    real = raw.pop("rel_permittivity_real", default.real)
-    imag = raw.pop("rel_permittivity_imag", 0.0 - default.imag)
-    try:
-        eps = complex(_real(real, "rel_permittivity_real"), -_real(imag, "rel_permittivity_imag"))
-    except ValueError as exc:
-        raise ScenarioError(f"tissue: {exc}") from None
-    return _record(TissueProperties, "tissue", raw, rel_permittivity=eps)
-
-
 def _parse_limits(raw) -> tuple[ComplianceLimit, ...]:
     if raw is None:
         return (BUILTIN_LIMITS["ICNIRP"], BUILTIN_LIMITS["FCC"])
@@ -206,7 +196,7 @@ def _parse_document(doc) -> ScenarioFile:
         scenario = dataclasses.replace(scenario, label=top.pop("label", scenario.label))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    tissue = _parse_tissue(top.pop("tissue", None))
+    tissue = _record(TissueProperties, "tissue", top.pop("tissue", None))
     quadrature = _record(QuadratureSpec, "quadrature", top.pop("quadrature", None))
     limits = _parse_limits(top.pop("limits", None))
     sweep = top.pop("sweep", None)
@@ -216,22 +206,9 @@ def _parse_document(doc) -> ScenarioFile:
                         limits=limits, sweep_grid=sweep_grid)
 
 
-def load_scenario(source: Union[str, os.PathLike]) -> ScenarioFile:
-    """Load and validate a scenario from a file path or YAML text.
-
-    A path-like object, or a string without newlines, names a file;
-    a string containing newlines is parsed directly as YAML.
-    """
-    if isinstance(source, os.PathLike):
-        return _parse_text(_read_text(source))
-    if isinstance(source, str) and "\n" not in source:
-        try:
-            return _parse_text(_read_text(source))
-        except FileNotFoundError:
-            raise ScenarioError(
-                f"no scenario file {source!r}: a string without a newline is read "
-                "as a path, and no such file exists") from None
-    return _parse_text(source)
+def load_scenario(path: str | os.PathLike) -> ScenarioFile:
+    """Load and validate the scenario in the UTF-8 YAML file at ``path``."""
+    return parse_scenario(_read_text(path))
 
 
 # YAML 1.2's decimal exponent forms and signed forms with no digit before the
@@ -255,8 +232,9 @@ def _yaml_classes():
     return classes
 
 
-def _parse_text(text) -> ScenarioFile:
-    """The scenario in YAML ``text``: the last step of every way one is read."""
+def parse_scenario(text: str) -> ScenarioFile:
+    """Parse and validate the scenario in YAML ``text``, the inverse of
+    ``serialize_scenario``."""
     import yaml
 
     try:
@@ -267,7 +245,7 @@ def _parse_text(text) -> ScenarioFile:
     return _parse_document(doc)
 
 
-def _read_text(path: Union[str, os.PathLike]) -> str:
+def _read_text(path: str | os.PathLike) -> str:
     """The text of a UTF-8 file; otherwise a ScenarioError names the file
     and the line and column of the first byte that is not UTF-8."""
     with open(path, "rb") as file:
@@ -333,14 +311,12 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     import yaml
 
     sc = scenario_file.scenario
-    eps = scenario_file.tissue.rel_permittivity
     doc: dict = {}
     if sc.label:
         doc["label"] = sc.label
     doc["link"] = _dump(sc, "tx_antenna", "label")
     doc["antenna"] = {"model": sc.tx_antenna.model.value, **_dump(sc.tx_antenna, "model")}
-    doc["tissue"] = {"rel_permittivity_real": eps.real, "rel_permittivity_imag": -eps.imag,
-                     **_dump(scenario_file.tissue, "rel_permittivity")}
+    doc["tissue"] = _dump(scenario_file.tissue)
     doc["quadrature"] = _dump(scenario_file.quadrature)
     doc["limits"] = [_dump(limit) for limit in scenario_file.limits]
     if scenario_file.sweep_grid is not None:

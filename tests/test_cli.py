@@ -539,7 +539,7 @@ def test_preset_calls_import_no_path_or_resource_layer(argv):
     imported = {line.rpartition("|")[2].strip() for line in done.stderr.decode().splitlines()
                 if line.startswith("import time:")}
     assert "wearemf.cli" in imported
-    assert imported & {"importlib.resources", "pathlib", "tempfile"} == set()
+    assert imported & {"importlib.resources", "pathlib", "tempfile", "typing"} == set()
 
 
 def test_cli_on_the_presets_never_imports_numpy(tmp_path):

@@ -43,7 +43,7 @@ def _scenario(antenna, tx_power_dbm=10.0):
     return LinkScenario(carrier_mhz=60000.0, bandwidth_hz=2.16e9,
                         tx_power_dbm=tx_power_dbm, tx_antenna=antenna)
 
-SKIN = TissueProperties(rel_permittivity=complex(7.98, -10.9))
+SKIN = TissueProperties(rel_permittivity_real=7.98, rel_permittivity_imag=10.9)
 
 
 def test_power_density_isotropic_reference():
@@ -82,12 +82,12 @@ def test_reflection_free_space_is_zero():
 
 
 def test_reflection_lossless_quartz_like():
-    tissue = TissueProperties(rel_permittivity=complex(4.0, 0.0))
+    tissue = TissueProperties(rel_permittivity_real=4.0)
     assert reflection_coefficient(tissue) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 def test_reflection_conductor_limit():
-    tissue = TissueProperties(rel_permittivity=complex(1e8, 0.0))
+    tissue = TissueProperties(rel_permittivity_real=1e8)
     assert 0.999 < reflection_coefficient(tissue) < 1.0
 
 
@@ -96,14 +96,15 @@ def test_reflection_skin_value_at_60ghz():
 
 
 def test_reflection_override_wins():
-    tissue = TissueProperties(rel_permittivity=complex(7.98, -10.9),
+    tissue = TissueProperties(rel_permittivity_real=7.98, rel_permittivity_imag=10.9,
                               reflection_override=0.37)
     assert reflection_coefficient(tissue) == 0.37
 
 
 def test_reflection_rejects_non_positive_real_part():
     with pytest.raises(ValueError):
-        reflection_coefficient(TissueProperties(rel_permittivity=complex(-2.0, -1.0)))
+        reflection_coefficient(TissueProperties(rel_permittivity_real=-2.0,
+                                                rel_permittivity_imag=1.0))
 
 
 def test_sar_boundary_unit_substitution_is_exact():
@@ -746,18 +747,18 @@ def test_linspace_matches_numpy():
     dict(penetration_depth_m=0.0),
     dict(reflection_override=-0.1),
     dict(reflection_override=1.0),
-    dict(rel_permittivity=complex(math.nan, 0.0)),
+    dict(rel_permittivity_real=math.nan),
     # the product underflows to zero, so sar_boundary would divide by it
     dict(penetration_depth_m=1e-200, mass_density_kg_per_m3=1e-200),
     # Fresnel reflection needs a positive real part when nothing overrides it
-    dict(rel_permittivity=complex(0.0, -1.0)),
+    dict(rel_permittivity_real=0.0, rel_permittivity_imag=1.0),
     # not a number, or beyond the double range; True is no override either
     *[{field: bad} for field in ("mass_density_kg_per_m3", "penetration_depth_m",
-                                 "rel_permittivity")
+                                 "rel_permittivity_real", "rel_permittivity_imag")
       for bad in (True, "1", None, 10**400)],
     *[dict(reflection_override=bad) for bad in ("1", 10**400)],
-    # eps' - j*eps'': a positive imaginary part is a negative loss term
-    dict(rel_permittivity=complex(38.0, 10.6)),
+    # eps' - j*eps'' with a loss term eps'' >= 0
+    dict(rel_permittivity_real=38.0, rel_permittivity_imag=-10.6),
 ])
 def test_tissue_validation(kwargs):
     with pytest.raises(ValueError):

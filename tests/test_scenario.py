@@ -27,6 +27,7 @@ from wearemf import (
     emit_results,
     load_preset,
     load_scenario,
+    parse_scenario,
     preset_names,
     serialize_scenario,
     sweep,
@@ -106,20 +107,26 @@ def test_json_and_pyyaml_read_each_preset_alike(name):
 
 
 def test_load_from_text_and_from_path(tmp_path):
-    from_text = load_scenario(MINIMAL)
+    from_text = parse_scenario(MINIMAL)
     path = tmp_path / "minimal.yaml"
     path.write_text(MINIMAL)
     assert load_scenario(path) == from_text
     assert load_scenario(str(path)) == from_text
 
 
-def test_one_line_yaml_is_read_as_a_missing_path():
-    with pytest.raises(ScenarioError, match="without a newline is read as a path"):
-        load_scenario("label: x")
+def test_one_line_yaml_is_text_to_parse_and_a_path_to_load(tmp_path):
+    text = ("{link: {carrier_mhz: 2400.0, bandwidth_hz: 1.0e+6, tx_power_dbm: 0.0},"
+            " antenna: {model: parabolic-envelope, g_max_dbi: 3.0}}")
+    assert parse_scenario(text) == parse_scenario(MINIMAL)
+    path = tmp_path / "one-line.yaml"
+    path.write_text(text)
+    assert load_scenario(path) == parse_scenario(MINIMAL)
+    with pytest.raises(FileNotFoundError):
+        load_scenario(str(tmp_path / "label: x"))
 
 
 def test_defaults_fill_missing_optional_fields():
-    loaded = load_scenario(MINIMAL)
+    loaded = parse_scenario(MINIMAL)
     sc = loaded.scenario
     assert sc.rx_gain_dbi == 0.0
     assert sc.noise_figure_db == 0.0
@@ -161,28 +168,28 @@ def test_defaults_fill_missing_optional_fields():
 ])
 def test_unknown_keys_are_named(snippet, named_key):
     with pytest.raises(ScenarioError, match=re.escape(f"unknown key '{named_key}'")):
-        load_scenario(snippet)
+        parse_scenario(snippet)
 
 
 def test_missing_required_keys_are_named():
     with pytest.raises(ScenarioError, match="link"):
-        load_scenario("antenna:\n  model: parabolic-envelope\n  g_max_dbi: 1.0\n")
+        parse_scenario("antenna:\n  model: parabolic-envelope\n  g_max_dbi: 1.0\n")
     with pytest.raises(ScenarioError, match="link.carrier_mhz"):
-        load_scenario(MINIMAL.replace("  carrier_mhz: 2400.0\n", ""))
+        parse_scenario(MINIMAL.replace("  carrier_mhz: 2400.0\n", ""))
     with pytest.raises(ScenarioError, match="antenna.model"):
-        load_scenario(MINIMAL.replace("  model: parabolic-envelope\n", ""))
+        parse_scenario(MINIMAL.replace("  model: parabolic-envelope\n", ""))
 
 
 def test_wrong_value_types_are_rejected():
     with pytest.raises(ScenarioError, match="^link: carrier_mhz must be a finite number"):
-        load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: fast"))
+        parse_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: fast"))
     with pytest.raises(ScenarioError, match="^link: carrier_mhz must be a finite number"):
-        load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: true"))
+        parse_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: true"))
     with pytest.raises(ScenarioError, match="omni_azimuth"):
-        load_scenario(MINIMAL + "  omni_azimuth: 3\n")
+        parse_scenario(MINIMAL + "  omni_azimuth: 3\n")
     # an integer beyond the double range
     with pytest.raises(ScenarioError, match="^antenna: g_max_dbi must be a finite number"):
-        load_scenario(MINIMAL.replace("g_max_dbi: 3.0", "g_max_dbi: 1" + "0" * 400))
+        parse_scenario(MINIMAL.replace("g_max_dbi: 3.0", "g_max_dbi: 1" + "0" * 400))
     for snippet, message in [
         (MINIMAL + "label: 5\n", "^label must be a string$"),
         (MINIMAL + "limits:\n  - name: 5\n    sar_limit_w_per_kg: 2.0\n",
@@ -193,46 +200,48 @@ def test_wrong_value_types_are_rejected():
         # null would read as the absent key's default
         (MINIMAL + "tissue:\n  reflection_override: null\n",
          "^tissue: reflection_override must not be null$"),
+        (MINIMAL + "tissue:\n  rel_permittivity_imag: null\n",
+         "^tissue: rel_permittivity_imag must not be null$"),
         (MINIMAL + "tissue:\n  rel_permittivity_real: 1" + "0" * 399 + "\n",
          "^tissue: rel_permittivity_real must be a finite number$"),
     ]:
         with pytest.raises(ScenarioError, match=message):
-            load_scenario(snippet)
+            parse_scenario(snippet)
 
 
 def test_exponent_forms_load_as_floats():
     # YAML 1.1 reads 2.4e3 as a string; it needs a dot and a signed exponent
     for written in ("2.4e3", "2.4e+3", "24e2", "24E+2", ".24e4"):
-        loaded = load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", f"carrier_mhz: {written}"))
+        loaded = parse_scenario(MINIMAL.replace("carrier_mhz: 2400.0", f"carrier_mhz: {written}"))
         assert loaded.scenario.carrier_mhz == 2400.0
 
 
 def test_bad_model_lists_the_options():
     bad = MINIMAL.replace("parabolic-envelope", "dish")
     with pytest.raises(ScenarioError, match="linear-array-factor"):
-        load_scenario(bad)
+        parse_scenario(bad)
 
 
 def test_invariant_violations_carry_the_section_name():
     with pytest.raises(ScenarioError, match="link"):
-        load_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: -1.0"))
+        parse_scenario(MINIMAL.replace("carrier_mhz: 2400.0", "carrier_mhz: -1.0"))
     with pytest.raises(ScenarioError, match="tissue"):
-        load_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 0.0\n")
+        parse_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 0.0\n")
     # each value is valid alone; the product underflows to zero
     with pytest.raises(ScenarioError, match="^tissue: "):
-        load_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 1.0e-200\n"
+        parse_scenario(MINIMAL + "tissue:\n  mass_density_kg_per_m3: 1.0e-200\n"
                       "  penetration_depth_m: 1.0e-200\n")
     # Fresnel reflection needs a positive real part when nothing overrides it
-    with pytest.raises(ScenarioError, match="^tissue: "):
-        load_scenario(MINIMAL + "tissue:\n  rel_permittivity_real: -1.0\n")
+    with pytest.raises(ScenarioError, match="^tissue: rel_permittivity_real must be > 0 "):
+        parse_scenario(MINIMAL + "tissue:\n  rel_permittivity_real: -1.0\n")
     # the grid size is capped, so no file can ask for unbounded work
     with pytest.raises(ScenarioError, match=r"^quadrature: .*in \[2, 65536\]$"):
-        load_scenario(MINIMAL + "quadrature:\n  samples_per_axis: 100000000\n")
+        parse_scenario(MINIMAL + "quadrature:\n  samples_per_axis: 100000000\n")
 
 
 def test_parse_errors_carry_a_line_number():
     with pytest.raises(ScenarioError, match="line"):
-        load_scenario("link: [unclosed\nantenna: {\n")
+        parse_scenario("link: [unclosed\nantenna: {\n")
 
 
 @pytest.mark.parametrize("bad", ["2020-13-45", "!!int x", "1" + "0" * 5000],
@@ -240,28 +249,32 @@ def test_parse_errors_carry_a_line_number():
 def test_unconstructible_scalars_are_parse_errors(bad):
     # PyYAML resolves these scalars but raises ValueError building them
     with pytest.raises(ScenarioError, match="parse error"):
-        load_scenario(MINIMAL + f"label: {bad}\n")
+        parse_scenario(MINIMAL + f"label: {bad}\n")
 
 
 def test_negative_permittivity_loss_is_rejected():
-    with pytest.raises(ScenarioError, match="^tissue: rel_permittivity .*loss term eps'' >= 0$"):
-        load_scenario(MINIMAL + "tissue:\n  rel_permittivity_imag: -1.0\n")
+    with pytest.raises(ScenarioError, match="^tissue: rel_permittivity_imag must be >= 0$"):
+        parse_scenario(MINIMAL + "tissue:\n  rel_permittivity_imag: -1.0\n")
 
 
 def test_round_trip_identity_for_presets():
     for name in preset_names():
         loaded = load_preset(name)
-        text = serialize_scenario(loaded)
-        again = load_scenario(text)
-        assert again == loaded
-        assert serialize_scenario(again) == text
+        # and with a tissue built in code, whose default loss term is written 0.0
+        built = dataclasses.replace(loaded, tissue=TissueProperties())
+        for scenario_file in (loaded, built):
+            text = serialize_scenario(scenario_file)
+            again = parse_scenario(text)
+            assert again == scenario_file
+            assert serialize_scenario(again) == text
+        assert "\n  rel_permittivity_imag: 0.0\n" in serialize_scenario(built)
 
 
 def test_round_trip_preserves_explicit_distances():
     source = MINIMAL + "sweep:\n  distances_m: [0.001, 0.002, 0.03]\n"
-    loaded = load_scenario(source)
+    loaded = parse_scenario(source)
     assert loaded.sweep_grid.resolve() == (0.001, 0.002, 0.03)
-    assert load_scenario(serialize_scenario(loaded)) == loaded
+    assert parse_scenario(serialize_scenario(loaded)) == loaded
 
 
 def test_sweep_grid_forms_are_exclusive():
@@ -316,8 +329,7 @@ def test_sweep_grid_stores_integral_float_points_as_int():
 _RECORDS = (LinkScenario, AntennaConfig, TissueProperties, QuadratureSpec,
             ComplianceLimit, SweepGrid)
 _SCHEMA_KEYS = sorted(
-    {"label", "link", "antenna", "tissue", "quadrature", "limits", "sweep",
-     "rel_permittivity_real", "rel_permittivity_imag"}
+    {"label", "link", "antenna", "tissue", "quadrature", "limits", "sweep"}
     | {field.name for record in _RECORDS for field in dataclasses.fields(record)})
 _keys = st.one_of(st.sampled_from(_SCHEMA_KEYS), st.text(max_size=6),
                   st.integers(), st.none())
@@ -379,11 +391,11 @@ def _accepted_edits(draw):
 def test_loader_returns_a_scenario_or_raises_scenario_error(doc):
     text = yaml.safe_dump(doc)
     try:
-        loaded = load_scenario(text)
+        loaded = parse_scenario(text)
     except ScenarioError:
         return
     assert isinstance(loaded, ScenarioFile)
-    assert load_scenario(serialize_scenario(loaded)) == loaded
+    assert parse_scenario(serialize_scenario(loaded)) == loaded
 
 
 def _replace_field(record, target, name, value):
@@ -422,7 +434,7 @@ def test_a_record_that_builds_is_a_file_that_loads(loaded, change):
         built = _replace_field(loaded, *change)
     except ValueError:
         return
-    assert load_scenario(serialize_scenario(built)) == built
+    assert parse_scenario(serialize_scenario(built)) == built
 
 
 def _rows():

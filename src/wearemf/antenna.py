@@ -59,7 +59,7 @@ class AntennaConfig:
                             ("boresight_elevation_deg", None), ("boresight_azimuth_deg", None)):
             object.__setattr__(self, name, _real(getattr(self, name), name, above))
         object.__setattr__(self, "n_elements",
-                           _whole_number(self.n_elements, "n_elements", 1, _MAX_SAMPLES))
+                           _whole_number(self.n_elements, "n_elements", 1))
         if not isinstance(self.omni_azimuth, bool):
             raise ValueError("omni_azimuth must be a boolean")
         if self.element_spacing_wavelengths < 0.0:
@@ -78,17 +78,14 @@ class AntennaConfig:
             raise ValueError("g_max_dbi as a linear gain must be a positive, finite double")
 
 
-def _is_real(value) -> bool:
-    """Whether ``value`` is an int or a float (numpy scalars too), not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _real(value, name: str, above: float | None = None) -> float:
-    """``value`` as a float, if it is a finite real number (``_is_real``) greater
-    than ``above`` when that is given; else a ValueError naming the field."""
+    """``value`` as a float, if it is a finite real number (an int or a float,
+    numpy scalars too, not a bool) greater than ``above`` when that is given;
+    else a ValueError naming the field."""
     if type(value) is not float:
         try:
-            value = float(value) if _is_real(value) else math.nan
+            value = (float(value) if isinstance(value, numbers.Real)
+                     and not isinstance(value, bool) else math.nan)
         except OverflowError:  # an int or a Fraction beyond the double range
             value = math.nan
     if not (math.isfinite(value) and (above is None or value > above)):
@@ -109,24 +106,18 @@ def _linear(value_db: float) -> float:
 _MAX_SAMPLES = 2**16
 
 
-def _whole_number(value, name: str, minimum: int, maximum: int | None = None) -> int:
-    """``value`` as an int, if it is a real number (see ``_is_real``) with a
-    whole value in [``minimum``, ``maximum``].
+def _whole_number(value, name: str, minimum: int) -> int:
+    """``value`` as an int, if it passes ``_real`` and equals a whole number in
+    [``minimum``, 2^16]; else a ValueError giving that range.
 
-    An integral float such as 4.0 is accepted and returned as 4; inf
-    and nan raise the same ValueError as any other bad count.
+    An integral float such as 4.0 is accepted and returned as 4.
     """
-    if maximum is None:
-        message = f"{name} must be an integer >= {minimum}"
-    else:
-        message = f"{name} must be an integer in [{minimum}, {maximum}]"
-    if not _is_real(value):
-        raise ValueError(message)
+    message = f"{name} must be an integer in [{minimum}, {_MAX_SAMPLES}]"
     try:
-        whole = int(value)
-    except (OverflowError, ValueError):  # inf, nan
+        whole = int(_real(value, name))
+    except ValueError:
         raise ValueError(message) from None
-    if whole != value or whole < minimum or (maximum is not None and whole > maximum):
+    if whole != value or not minimum <= whole <= _MAX_SAMPLES:
         raise ValueError(message)
     return whole
 

@@ -173,30 +173,26 @@ def sweep(
     transmitted, slab = chain.transmitted, chain.slab
 
     bandwidth = scenario.bandwidth_hz
+    log10, log1p = math.log10, math.log1p
+    losses = [20.0 * log10(d) + carrier_db - 27.55 for d in distances]
+    snrs = [budget_dbm - loss - noise_dbm for loss in losses]
     # the nearest row alone can overflow; check it in the scalar chain's order
-    for d in distances[:1]:
+    for d, snr in zip(distances[:1], snrs):
         pds = [_power_density(pg, d) for pg in (pg_boresight, pg_mean)]
-        snr = budget_dbm - (20.0 * math.log10(d) + carrier_db - 27.55) - noise_dbm
         try:
-            rate = shannon_rate_bps(bandwidth, snr)
-        except OverflowError:  # the linear SNR overflows
-            rate = math.inf
-        if rate == math.inf:
+            shannon_rate_bps(bandwidth, snr)
+        except OverflowError:
             raise OverflowError(f"SNR of {snr!r} dB at distance {d!r} m is too large "
-                                "for the Shannon rate")
+                                "for the Shannon rate") from None
         for pd in pds:
             _boundary_sar(pd, transmitted, slab, d)
     # the farthest row alone can have an SNR of -inf
-    for d in distances[-1:]:
-        if budget_dbm - (20.0 * math.log10(d) + carrier_db - 27.55) - noise_dbm == -math.inf:
-            raise OverflowError(f"SNR overflows to -inf dB at distance {d!r} m")
+    if snrs and snrs[-1] == -math.inf:
+        raise OverflowError(f"SNR overflows to -inf dB at distance {distances[-1]!r} m")
 
     # ExposureResult's checks cannot fail here: the distances are checked floats,
     # the checks above keep every column finite, and every column but the first
     # three is B*log1p(>= 0)/ln 2 or a product or quotient of positive constants
-    log10, log1p = math.log10, math.log1p
-    losses = [20.0 * log10(d) + carrier_db - 27.55 for d in distances]
-    snrs = [budget_dbm - loss - noise_dbm for loss in losses]
     rates = [bandwidth * log1p(10.0 ** (snr / 10.0)) / _LN2 for snr in snrs]
     areas = [_FOUR_PI * (d * d) for d in distances]
     pds = [pg_boresight / area for area in areas]

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .antenna import (_MAX_SAMPLES, AntennaConfig, PatternModel, _elevation_dbs,
-                      _parabolic_dbs, _real, _whole_number)
+from .antenna import (AntennaConfig, PatternModel, _elevation_dbs, _parabolic_dbs, _real,
+                      _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -61,8 +61,8 @@ class QuadratureSpec:
     convergence_tol: float = 1e-3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples_per_axis", _whole_number(
-            self.samples_per_axis, "samples_per_axis", 2, _MAX_SAMPLES))
+        object.__setattr__(self, "samples_per_axis",
+                           _whole_number(self.samples_per_axis, "samples_per_axis", 2))
         object.__setattr__(self, "convergence_tol",
                            _real(self.convergence_tol, "convergence_tol", 0))
 
@@ -127,11 +127,8 @@ class ExposureResult(namedtuple("ExposureResult", (
         return tuple.__new__(cls, values)
 
     @classmethod
-    def _make(cls, iterable):
+    def _make(cls, iterable):  # namedtuple's _replace builds through it too
         return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
 
 def power_density(tx_power_w: float, gain_linear: float, distance_m: float) -> float:

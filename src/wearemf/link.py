@@ -62,9 +62,7 @@ class LinkScenario:
             raise ValueError("noise_figure_db must be >= 0")
         if not 0.0 < _linear(self.tx_power_dbm - 30.0) < math.inf:
             raise ValueError("tx_power_dbm in watts must be a positive, finite double")
-        if not 0.0 < BOLTZMANN_J_PER_K * self.temperature_k * self.bandwidth_hz < math.inf:
-            raise ValueError("the noise power k*temperature_k*bandwidth_hz must be a "
-                             "positive, finite double")
+        noise_power_dbm(self.bandwidth_hz, self.noise_figure_db, self.temperature_k)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -107,6 +105,9 @@ def noise_power_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0,
     """Thermal noise power k*T*B referred to 1 mW, plus the noise figure."""
     bandwidth_hz = _real(bandwidth_hz, "bandwidth_hz", 0)
     kTB_w = BOLTZMANN_J_PER_K * _real(temperature_k, "temperature_k", 0) * bandwidth_hz
+    if not 0.0 < kTB_w < math.inf:
+        raise ValueError("the noise power k*temperature_k*bandwidth_hz must be a "
+                         "positive, finite double")
     return watts_to_dbm(kTB_w) + _real(noise_figure_db, "noise_figure_db")
 
 
@@ -135,10 +136,13 @@ def snr_db(scenario: LinkScenario, distance_m: float,
 def shannon_rate_bps(bandwidth_hz: float, snr_db: float) -> float:
     """Shannon capacity B*log2(1 + SNR) in bit/s.
 
-    snr_db must be finite or -inf (zero SNR, zero rate).
+    snr_db must be finite or -inf (zero SNR, zero rate).  Raises
+    OverflowError, naming the SNR, when the rate is too large for a double.
     """
     bandwidth_hz = _real(bandwidth_hz, "bandwidth_hz", 0)
     if snr_db != -math.inf:
         snr_db = _real(snr_db, "snr_db")
-    snr_linear = 10.0 ** (snr_db / 10.0)
-    return bandwidth_hz * math.log1p(snr_linear) / _LN2
+    rate = bandwidth_hz * math.log1p(_linear(snr_db)) / _LN2
+    if rate == math.inf:
+        raise OverflowError(f"SNR of {snr_db!r} dB is too large for the Shannon rate")
+    return rate

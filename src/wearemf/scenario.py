@@ -21,7 +21,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .antenna import _MAX_SAMPLES, AntennaConfig, PatternModel, _real, _whole_number
+from .antenna import AntennaConfig, PatternModel, _real, _whole_number
 from .compliance import BUILTIN_LIMITS, ComplianceLimit, _check_distances
 from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
@@ -81,8 +81,6 @@ class SweepGrid:
         object.__setattr__(self, "start_m", _real(self.start_m, "start_m", 0))
         object.__setattr__(self, "stop_m", _real(self.stop_m, "stop_m", self.start_m))
         object.__setattr__(self, "points", _whole_number(self.points, "points", 1))
-        if self.points > _MAX_SAMPLES:  # the bound of samples_per_axis
-            raise ValueError(f"points must be at most {_MAX_SAMPLES}")
         _check_distances(self.resolve(), f"the {self.points} grid points from "
                          f"{self.start_m!r} m to {self.stop_m!r} m")
 
@@ -242,6 +240,8 @@ def parse_scenario(text: str) -> ScenarioFile:
     # PyYAML lets ValueError out of its scalar constructors (2020-13-45, !!int x)
     except (yaml.YAMLError, ValueError) as exc:
         raise ScenarioError(_parse_error_text(exc, text)) from exc
+    except RecursionError:  # PyYAML composes nested collections recursively
+        raise ScenarioError("scenario parse error: collections nested too deeply") from None
     return _parse_document(doc)
 
 

@@ -358,8 +358,10 @@ def test_malformed_scenario_exits_1(tmp_path):
     ("link: *undefined\n", "at line 1, column 7"),
     # PyYAML's reader gives a character offset, turned into a line and column
     ("label: \x07\n", "at line 1, column 8"),
+    # PyYAML composes recursively; nesting this deep has no position to give
+    ("[" * 10000, ": collections nested too deeply"),
 ], ids=["flow-sequence", "flow-mapping", "quote", "leading-tab", "undefined-alias",
-        "control-character"])
+        "control-character", "deep-nesting"])
 def test_yaml_parse_errors_print_one_line_with_the_position(tmp_path, text, where):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)

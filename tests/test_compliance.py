@@ -347,6 +347,8 @@ def test_sweep_rows_cannot_be_told_from_constructed_ones(preset):
             vars(row)
         with pytest.raises(ValueError, match="^distance_m must be > 0$"):
             row._replace(distance_m=-1.0)
+        with pytest.raises(ValueError, match="^Got unexpected field names"):
+            row._replace(speed=1.0)
 
 
 @pytest.mark.parametrize("distances", [

@@ -73,6 +73,11 @@ def test_noise_rejects_bad_inputs():
     for bad in (True, "1", None, 10**400):
         with pytest.raises(ValueError):
             noise_power_dbm(1e6, 0.0, bad)
+    # k*T*B overflows to inf or underflows to 0.0
+    for extreme in (1e308, 1e-300):
+        with pytest.raises(ValueError, match=r"^the noise power k\*temperature_k\*bandwidth_hz "
+                                             "must be a positive, finite double$"):
+            noise_power_dbm(extreme, 0.0, extreme)
 
 
 def test_snr_chain_reference_values():
@@ -124,6 +129,11 @@ def test_shannon_rejects_bad_inputs():
             shannon_rate_bps(bad, 10.0)
         with pytest.raises(ValueError):
             shannon_rate_bps(1e6, bad)
+    # B*log2(1 + SNR) overflows, or 10^(SNR/10) alone does
+    for bandwidth_hz, snr in ((1.5e308, 64.0), (1e6, 4000.0)):
+        with pytest.raises(OverflowError, match=f"^SNR of {snr!r} dB is too large for the "
+                                                "Shannon rate$"):
+            shannon_rate_bps(bandwidth_hz, snr)
 
 
 @given(value_db=st.floats(min_value=-300.0, max_value=300.0,

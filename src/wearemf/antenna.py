@@ -10,10 +10,12 @@ principal range so every pattern is periodic over a full turn.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import inspect
 import math
 import numbers
-from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = ["PatternModel", "AntennaConfig", "gain_dbi"]
 
@@ -29,8 +31,88 @@ class PatternModel(enum.Enum):
     LINEAR_ARRAY_FACTOR = "linear-array-factor"
 
 
-@dataclass(frozen=True)
-class AntennaConfig:
+def _real(value, name: str, above: float | None = None) -> float:
+    """``value`` as a float, if it is a finite real number (an int or a float,
+    numpy scalars too, not a bool) greater than ``above`` when that is given;
+    else a ValueError naming the field."""
+    if type(value) is not float:
+        try:
+            value = (float(value) if isinstance(value, numbers.Real)
+                     and not isinstance(value, bool) else math.nan)
+        except OverflowError:  # an int or a Fraction beyond the double range
+            value = math.nan
+    if not (math.isfinite(value) and (above is None or value > above)):
+        bound = "" if above is None else f" > {above!r}"
+        raise ValueError(f"{name} must be a finite number{bound}")
+    return value
+
+
+class _FrozenRecord:
+    """The base of the frozen records: it holds their constructor, equality,
+    hash, repr and the refusal to assign or delete a field.
+
+    Each subclass is declared a dataclass that generates none of these, so
+    ``dataclasses.fields``, ``replace``, ``asdict`` and ``astuple`` accept it.
+    The constructor takes the fields by position or keyword, with their
+    defaults, and then calls the record's ``__post_init__``.  Records are
+    equal when they are of one class with equal fields, hash as the tuple of
+    their fields and print as a dataclass does; assigning or deleting an
+    attribute raises ``dataclasses.FrozenInstanceError``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        fields = dataclasses.fields(cls)
+        # the tuple of the field values, built in C: AntennaConfig keys a cache
+        # (every record has two fields or more, so this is always a tuple)
+        cls._values = attrgetter(*(field.name for field in fields))
+        # what inspect.signature shows for the class: the fields, with their defaults
+        empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
+        cls.__signature__ = inspect.Signature([inspect.Parameter(
+            field.name, kind, annotation=field.type,
+            default=empty if field.default is dataclasses.MISSING else field.default)
+            for field in fields], return_annotation=None)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self.__dataclass_fields__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        for name, value in zip(fields, args):
+            if name in kwargs:
+                raise TypeError(f"{type(self).__name__}() got multiple values for "
+                                f"argument {name!r}")
+            kwargs[name] = value
+        for name, field in fields.items():
+            value = kwargs.pop(name, field.default)
+            if value is dataclasses.MISSING:
+                raise TypeError(f"{type(self).__name__}() missing required argument {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument "
+                            f"{next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class AntennaConfig(_FrozenRecord):
     """Immutable description of one transmit antenna.
 
     theta is elevation, phi is azimuth, both in degrees.  With
@@ -76,22 +158,6 @@ class AntennaConfig:
             raise ValueError("theta_3db_deg must not underflow to 0.0 in radians")
         if not 0.0 < _linear(self.g_max_dbi) < math.inf:
             raise ValueError("g_max_dbi as a linear gain must be a positive, finite double")
-
-
-def _real(value, name: str, above: float | None = None) -> float:
-    """``value`` as a float, if it is a finite real number (an int or a float,
-    numpy scalars too, not a bool) greater than ``above`` when that is given;
-    else a ValueError naming the field."""
-    if type(value) is not float:
-        try:
-            value = (float(value) if isinstance(value, numbers.Real)
-                     and not isinstance(value, bool) else math.nan)
-        except OverflowError:  # an int or a Fraction beyond the double range
-            value = math.nan
-    if not (math.isfinite(value) and (above is None or value > above)):
-        bound = "" if above is None else f" > {above!r}"
-        raise ValueError(f"{name} must be a finite number{bound}")
-    return value
 
 
 def _linear(value_db: float) -> float:

@@ -5,9 +5,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .antenna import _real
+from .antenna import _FrozenRecord, _real
 from .exposure import (_FOUR_PI, ExposureResult, QuadratureSpec, TissueProperties, _Chain,
                        _boundary_sar, _power_density)
 from .link import _LN2, LinkScenario, noise_power_dbm, shannon_rate_bps
@@ -30,8 +29,7 @@ class LimitUnreachableError(RuntimeError):
     """Raised when even the far end of the search range exceeds the limit."""
 
 
-@dataclass(frozen=True)
-class ComplianceLimit:
+class ComplianceLimit(_FrozenRecord):
     """A named regulatory SAR threshold."""
 
     name: str
@@ -53,8 +51,7 @@ BUILTIN_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class DistanceSearch:
+class DistanceSearch(_FrozenRecord):
     """Search range for the safe distance, and the accuracy ``tol_m``
     that callers may check its result against."""
 

@@ -19,12 +19,11 @@ import cmath
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .antenna import (AntennaConfig, PatternModel, _elevation_dbs, _parabolic_dbs, _real,
-                      _whole_number)
+from .antenna import (AntennaConfig, PatternModel, _FrozenRecord, _elevation_dbs,
+                      _parabolic_dbs, _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -46,8 +45,7 @@ class ConvergenceError(RuntimeError):
     """Raised when grid refinement moves the quadrature beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(_FrozenRecord):
     """Grid size and self-convergence tolerance for the angular average.
 
     ``samples_per_axis`` counts points including both endpoints of
@@ -67,8 +65,7 @@ class QuadratureSpec:
                            _real(self.convergence_tol, "convergence_tol", 0))
 
 
-@dataclass(frozen=True)
-class TissueProperties:
+class TissueProperties(_FrozenRecord):
     """Dielectric and geometric skin parameters at the carrier frequency.
 
     The relative permittivity eps' - j*eps'' is held as its two parts:

@@ -9,9 +9,8 @@ lives in exactly one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .antenna import AntennaConfig, _linear, _real, gain_dbi
+from .antenna import AntennaConfig, _FrozenRecord, _linear, _real, gain_dbi
 
 __all__ = [
     "BOLTZMANN_J_PER_K",
@@ -31,8 +30,7 @@ BOLTZMANN_J_PER_K = 1.380649e-23  # exact by definition since the 2019 SI revisi
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class LinkScenario:
+class LinkScenario(_FrozenRecord):
     """One transmitter/receiver pair with its radio parameters.
 
     The receiver is a fixed scalar gain; only the transmit side
@@ -66,27 +64,39 @@ class LinkScenario:
 
 
 def db_to_linear(value_db: float) -> float:
-    """Power ratio from decibels."""
-    return 10.0 ** (value_db / 10.0)
+    """Power ratio from decibels.
+
+    Raises OverflowError, naming the value, when the ratio is too large
+    for a double.
+    """
+    value_db = _real(value_db, "value_db")
+    ratio = _linear(value_db)
+    if ratio == math.inf:
+        raise OverflowError(f"{value_db!r} dB is too large for a power ratio")
+    return ratio
 
 
 def linear_to_db(ratio: float) -> float:
     """Decibels from a positive power ratio."""
-    if not ratio > 0.0:
-        raise ValueError("ratio must be > 0")
-    return 10.0 * math.log10(ratio)
+    return 10.0 * math.log10(_real(ratio, "ratio", 0))
 
 
 def dbm_to_watts(power_dbm: float) -> float:
-    """Watts from dBm."""
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    """Watts from dBm.
+
+    Raises OverflowError, naming the power, when the result is too large
+    for a double.
+    """
+    power_dbm = _real(power_dbm, "power_dbm")
+    watts = _linear(power_dbm - 30.0)
+    if watts == math.inf:
+        raise OverflowError(f"{power_dbm!r} dBm is too large for a power in watts")
+    return watts
 
 
 def watts_to_dbm(power_w: float) -> float:
     """dBm from watts."""
-    if not power_w > 0.0:
-        raise ValueError("power_w must be > 0")
-    return 10.0 * math.log10(power_w) + 30.0
+    return 10.0 * math.log10(_real(power_w, "power_w", 0)) + 30.0
 
 
 def fspl_db(distance_m: float, carrier_mhz: float) -> float:

@@ -19,9 +19,8 @@ import itertools
 import os
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .antenna import AntennaConfig, PatternModel, _real, _whole_number
+from .antenna import AntennaConfig, PatternModel, _FrozenRecord, _real, _whole_number
 from .compliance import BUILTIN_LIMITS, ComplianceLimit, _check_distances
 from .exposure import ExposureResult, QuadratureSpec, TissueProperties, _linspace
 from .link import LinkScenario
@@ -54,8 +53,7 @@ class ScenarioError(ValueError):
     """Malformed or invalid scenario input."""
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(_FrozenRecord):
     """Distance grid, either linear (start/stop/points, at most 2^16 points)
     or explicit; it holds to the rule of ``sweep``'s distances."""
 
@@ -91,8 +89,7 @@ class SweepGrid:
         return tuple(_linspace(self.start_m, self.stop_m, self.points))
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(_FrozenRecord):
     """A fully validated scenario: link, tissue, quadrature, limits, grid."""
 
     scenario: LinkScenario

@@ -164,6 +164,25 @@ def test_dbm_to_watts_reference():
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
 
 
+def test_db_helpers_refuse_what_is_not_a_finite_number_and_name_an_overflow():
+    not_numbers = (math.nan, math.inf, -math.inf, True, "x", None, 10**400)
+    for helper, name in ((db_to_linear, "value_db"), (dbm_to_watts, "power_dbm")):
+        for bad in not_numbers:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number$"):
+                helper(bad)
+    for helper, name in ((linear_to_db, "ratio"), (watts_to_dbm, "power_w")):
+        for bad in (*not_numbers, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0$"):
+                helper(bad)
+    with pytest.raises(OverflowError, match=r"^4000\.0 dB is too large for a power ratio$"):
+        db_to_linear(4000.0)
+    with pytest.raises(OverflowError, match=r"^4000\.0 dBm is too large for a power in watts$"):
+        dbm_to_watts(4000)
+    # just inside the double range, and ints, give the float results
+    assert db_to_linear(3080) == 10.0 ** 308.0 and dbm_to_watts(3110.0) == 10.0 ** 308.0
+    assert linear_to_db(100) == 20.0 and watts_to_dbm(1) == 30.0
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(carrier_mhz=0.0),
     dict(bandwidth_hz=-1.0),

@@ -1,8 +1,11 @@
 """Scenario file grammar, presets, serialization, and result emission."""
 
+import copy
 import dataclasses
+import inspect
 import json
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ from wearemf import (
     CSV_FIELDS,
     AntennaConfig,
     ComplianceLimit,
+    DistanceSearch,
     ExposureResult,
     LinkScenario,
     PatternModel,
@@ -435,6 +439,152 @@ def test_a_record_that_builds_is_a_file_that_loads(loaded, change):
     except ValueError:
         return
     assert parse_scenario(serialize_scenario(built)) == built
+
+
+# both presets' records built from literals, and the reprs and constructor
+# signatures that the records have had since they were generated dataclasses
+_LIMITS = (ComplianceLimit("ICNIRP", 2.0, "10-g average"),
+           ComplianceLimit("FCC", 1.6, "1-g average"))
+_LITERAL_PRESETS = {
+    "wearable-2.4ghz": ScenarioFile(
+        LinkScenario(2400.0, 93e6, 2.0, AntennaConfig(PatternModel.PARABOLIC_ENVELOPE, 10.1, 4,
+                                                      0.5, 93.0, 30.0, 0.0, 0.0, True),
+                     10.0, 6.0, 290.0, "wearable-2.4ghz"),
+        TissueProperties(38.0, 10.6, 1000.0, 0.001, None), QuadratureSpec(361, 0.001),
+        _LIMITS, SweepGrid(0.001, 0.05, 50, None)),
+    "wearable-60ghz": ScenarioFile(
+        LinkScenario(60000.0, 2.16e9, 10.0, AntennaConfig(PatternModel.LINEAR_ARRAY_FACTOR, 11.9,
+                                                          16, 0.5, 93.0, 30.0, 0.0, 0.0, False),
+                     10.0, 6.0, 290.0, "wearable-60ghz"),
+        TissueProperties(7.98, 10.9, 1000.0, 0.001, 0.7), QuadratureSpec(361, 0.001),
+        _LIMITS, SweepGrid(0.001, 0.05, 50, None)),
+}
+_TAIL_REPR = (
+    "quadrature=QuadratureSpec(samples_per_axis=361, convergence_tol=0.001), "
+    "limits=(ComplianceLimit(name='ICNIRP', sar_limit_w_per_kg=2.0, averaging_mass_note="
+    "'10-g average'), ComplianceLimit(name='FCC', sar_limit_w_per_kg=1.6, averaging_mass_note="
+    "'1-g average')), sweep_grid=SweepGrid(start_m=0.001, stop_m=0.05, points=50, "
+    "distances_m=None))")
+_PRESET_REPRS = {
+    "wearable-2.4ghz": (
+        "ScenarioFile(scenario=LinkScenario(carrier_mhz=2400.0, bandwidth_hz=93000000.0, "
+        "tx_power_dbm=2.0, tx_antenna=AntennaConfig(model=<PatternModel.PARABOLIC_ENVELOPE: "
+        "'parabolic-envelope'>, g_max_dbi=10.1, n_elements=4, element_spacing_wavelengths=0.5, "
+        "theta_3db_deg=93.0, sidelobe_floor_db=30.0, boresight_elevation_deg=0.0, "
+        "boresight_azimuth_deg=0.0, omni_azimuth=True), rx_gain_dbi=10.0, noise_figure_db=6.0, "
+        "temperature_k=290.0, label='wearable-2.4ghz'), tissue=TissueProperties("
+        "rel_permittivity_real=38.0, rel_permittivity_imag=10.6, mass_density_kg_per_m3=1000.0, "
+        "penetration_depth_m=0.001, reflection_override=None), " + _TAIL_REPR),
+    "wearable-60ghz": (
+        "ScenarioFile(scenario=LinkScenario(carrier_mhz=60000.0, bandwidth_hz=2160000000.0, "
+        "tx_power_dbm=10.0, tx_antenna=AntennaConfig(model=<PatternModel.LINEAR_ARRAY_FACTOR: "
+        "'linear-array-factor'>, g_max_dbi=11.9, n_elements=16, element_spacing_wavelengths=0.5, "
+        "theta_3db_deg=93.0, sidelobe_floor_db=30.0, boresight_elevation_deg=0.0, "
+        "boresight_azimuth_deg=0.0, omni_azimuth=False), rx_gain_dbi=10.0, noise_figure_db=6.0, "
+        "temperature_k=290.0, label='wearable-60ghz'), tissue=TissueProperties("
+        "rel_permittivity_real=7.98, rel_permittivity_imag=10.9, mass_density_kg_per_m3=1000.0, "
+        "penetration_depth_m=0.001, reflection_override=0.7), " + _TAIL_REPR),
+}
+_SIGNATURES = {
+    AntennaConfig: "(model: 'PatternModel', g_max_dbi: 'float', n_elements: 'int' = 1, "
+                   "element_spacing_wavelengths: 'float' = 0.5, theta_3db_deg: 'float' = 93.0, "
+                   "sidelobe_floor_db: 'float' = 30.0, boresight_elevation_deg: 'float' = 0.0, "
+                   "boresight_azimuth_deg: 'float' = 0.0, omni_azimuth: 'bool' = False) -> None",
+    LinkScenario: "(carrier_mhz: 'float', bandwidth_hz: 'float', tx_power_dbm: 'float', "
+                  "tx_antenna: 'AntennaConfig', rx_gain_dbi: 'float' = 0.0, noise_figure_db: "
+                  "'float' = 0.0, temperature_k: 'float' = 290.0, label: 'str' = '') -> None",
+    TissueProperties: "(rel_permittivity_real: 'float' = 1.0, rel_permittivity_imag: 'float' = "
+                      "0.0, mass_density_kg_per_m3: 'float' = 1000.0, penetration_depth_m: "
+                      "'float' = 0.001, reflection_override: 'float | None' = None) -> None",
+    QuadratureSpec: "(samples_per_axis: 'int' = 361, convergence_tol: 'float' = 0.001) -> None",
+    ComplianceLimit: "(name: 'str', sar_limit_w_per_kg: 'float', averaging_mass_note: 'str' = "
+                     "'') -> None",
+    DistanceSearch: "(d_lo_m: 'float' = 0.001, d_hi_m: 'float' = 1.0, tol_m: 'float' = 1e-05) "
+                    "-> None",
+    SweepGrid: "(start_m: 'float | None' = None, stop_m: 'float | None' = None, points: "
+               "'int | None' = None, distances_m: 'tuple[float, ...] | None' = None) -> None",
+    ScenarioFile: "(scenario: 'LinkScenario', tissue: 'TissueProperties', quadrature: "
+                  "'QuadratureSpec', limits: 'tuple[ComplianceLimit, ...]', sweep_grid: "
+                  "'SweepGrid | None' = None) -> None",
+}
+
+
+def _records(loaded):
+    """The eight kinds of record: those of a preset, and a search range."""
+    return [loaded, loaded.scenario, loaded.scenario.tx_antenna, loaded.tissue,
+            loaded.quadrature, *loaded.limits, loaded.sweep_grid, DistanceSearch(0.002, 0.5)]
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_records_equal_hash_and_print_as_their_literals(name):
+    loaded = load_preset(name)
+    assert repr(loaded) == _PRESET_REPRS[name]
+    assert repr(DistanceSearch(0.002, 0.5)) == "DistanceSearch(d_lo_m=0.002, d_hi_m=0.5, tol_m=1e-05)"
+    records = _records(loaded)
+    # every record of the preset prints as it does inside the whole file's repr
+    assert all(repr(record) in _PRESET_REPRS[name] for record in records[:-1])
+    for record, literal in zip(records, _records(_LITERAL_PRESETS[name]), strict=True):
+        assert type(record) is type(literal) and record == literal and not record != literal
+        assert repr(record) == repr(literal)
+        values = tuple(getattr(record, field.name) for field in dataclasses.fields(record))
+        assert hash(record) == hash(literal) == hash(values)
+        # equal only to a record of its own class
+        assert record != values and record != object()
+    assert loaded.scenario != dataclasses.replace(loaded.scenario, tx_power_dbm=3.0)
+    assert {loaded.tissue: 1}[_LITERAL_PRESETS[name].tissue] == 1
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_records_refuse_assignment_and_deletion(name):
+    for record in _records(load_preset(name)):
+        for field in [*dataclasses.fields(record), None]:
+            attribute = "not_a_field" if field is None else field.name
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot assign to field {attribute!r}$"):
+                setattr(record, attribute, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot delete field {attribute!r}$"):
+                delattr(record, attribute)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_records_pickle_copy_and_work_with_dataclasses_functions(name):
+    for record in _records(load_preset(name)):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record), dataclasses.replace(record)):
+            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+        assert dataclasses.is_dataclass(record)
+        names = [field.name for field in dataclasses.fields(record)]
+        assert names == list(inspect.signature(type(record)).parameters)
+        assert list(dataclasses.asdict(record)) == names
+        assert len(dataclasses.astuple(record)) == len(names)
+    loaded = load_preset(name)
+    assert dataclasses.astuple(loaded.quadrature) == (361, 0.001)
+    assert dataclasses.asdict(loaded)["limits"][1] == {
+        "name": "FCC", "sar_limit_w_per_kg": 1.6, "averaging_mass_note": "1-g average"}
+    changed = dataclasses.replace(loaded.quadrature, samples_per_axis=721)
+    assert changed == QuadratureSpec(721, loaded.quadrature.convergence_tol)
+    with pytest.raises(ValueError, match=r"^samples_per_axis must be an integer in \[2, 65536\]$"):
+        dataclasses.replace(loaded.quadrature, samples_per_axis=1)
+
+
+@pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)
+def test_record_constructors_keep_their_signatures(record):
+    assert str(inspect.signature(record)) == _SIGNATURES[record]
+    positional = [p.name for p in inspect.signature(record).parameters.values()]
+    with pytest.raises(TypeError):
+        record(*[None] * (len(positional) + 1))
+    with pytest.raises(TypeError):
+        record(not_a_field=None)
+    with pytest.raises(TypeError):
+        record(None, **{positional[0]: None})
+
+
+@pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)
+def test_records_share_one_set_of_methods(record):
+    # the shared base holds them, so no record compiles its own
+    for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        assert method not in vars(record), method
 
 
 def _rows():

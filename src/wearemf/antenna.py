@@ -48,16 +48,17 @@ def _real(value, name: str, above: float | None = None) -> float:
 
 
 class _FrozenRecord:
-    """The base of the frozen records: it holds their constructor, equality,
-    hash, repr and the refusal to assign or delete a field.
+    """The base of the frozen records: it holds their constructor, ``replace``,
+    equality, hash, repr and the refusal to assign or delete a field.
 
-    Each subclass is declared a dataclass that generates none of these, so
-    ``dataclasses.fields``, ``replace``, ``asdict`` and ``astuple`` accept it.
-    The constructor takes the fields by position or keyword, with their
-    defaults, and then calls the record's ``__post_init__``.  Records are
-    equal when they are of one class with equal fields, hash as the tuple of
-    their fields and print as a dataclass does; assigning or deleting an
-    attribute raises ``dataclasses.FrozenInstanceError``.
+    Each subclass is declared a dataclass that generates none of these, so the
+    ``dataclasses`` functions accept it; no other module relies on that.  Its
+    ``__signature__`` is its field table: a parameter per field, with the
+    field's default or ``Parameter.empty``.  The constructor takes the fields
+    by position or keyword and then calls the record's ``__post_init__``.
+    Records are equal when they are of one class with equal fields, hash as
+    the tuple of their fields and print as a dataclass does; assigning or
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
     """
 
     def __init_subclass__(cls) -> None:
@@ -74,7 +75,7 @@ class _FrozenRecord:
             for field in fields], return_annotation=None)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__dataclass_fields__
+        fields = self.__signature__.parameters
         if len(args) > len(fields):
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} positional "
                             f"arguments but {len(args)} were given")
@@ -83,15 +84,20 @@ class _FrozenRecord:
                 raise TypeError(f"{type(self).__name__}() got multiple values for "
                                 f"argument {name!r}")
             kwargs[name] = value
-        for name, field in fields.items():
-            value = kwargs.pop(name, field.default)
-            if value is dataclasses.MISSING:
+        for name, parameter in fields.items():
+            value = kwargs.pop(name, parameter.default)
+            if value is parameter.empty:
                 raise TypeError(f"{type(self).__name__}() missing required argument {name!r}")
             object.__setattr__(self, name, value)
         if kwargs:
             raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument "
                             f"{next(iter(kwargs))!r}")
         self.__post_init__()
+
+    def replace(self, **changes):
+        """A copy with ``changes`` to its fields, built by the record's constructor."""
+        return type(self)(**{name: changes.pop(name, getattr(self, name))
+                             for name in self.__signature__.parameters}, **changes)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -102,7 +108,8 @@ class _FrozenRecord:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__signature__.parameters)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:

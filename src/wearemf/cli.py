@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .compliance import (
@@ -14,7 +13,7 @@ from .compliance import (
     min_safe_distance,
     sweep,
 )
-from .exposure import ConvergenceError, QuadratureSpec
+from .exposure import ConvergenceError
 from .scenario import (
     ScenarioError,
     ScenarioFile,
@@ -76,14 +75,15 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
     else:
         loaded = load_preset(args.preset)
     if args.quadrature_samples is not None:
-        quadrature = QuadratureSpec(args.quadrature_samples,
-                                    loaded.quadrature.convergence_tol)
-        loaded = dataclasses.replace(loaded, quadrature=quadrature)
+        loaded = loaded.replace(quadrature=loaded.quadrature.replace(
+            samples_per_axis=args.quadrature_samples))
     return loaded
 
 
 def _write(output: str, data: bytes) -> None:
     if output in ("stdout", "-"):
+        if sys.stdout is None:  # the process was started with stdout closed
+            raise OSError("standard output is closed")
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:

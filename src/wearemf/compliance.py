@@ -107,6 +107,8 @@ def min_safe_distance(
     if sar_lo <= threshold:
         return COMPLIANT_EVERYWHERE
     d = lo * math.sqrt(sar_lo / threshold)
+    if math.isinf(d):  # the ratio may overflow where the crossing does not
+        d = lo * math.sqrt(sar_lo) / math.sqrt(threshold)
     if math.isinf(d):
         raise OverflowError(
             f"averaged SAR at the near end of the search range, {lo} m, is too "

@@ -13,7 +13,6 @@ to the same document.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import os
@@ -113,15 +112,15 @@ class ScenarioFile(_FrozenRecord):
             raise ValueError("sweep_grid must be a SweepGrid")
 
 
-def _value(section: str, field: dataclasses.Field, value):
-    """``value`` for ``field``'s record: a model by its name, and no null."""
+def _value(section: str, name: str, value):
+    """``value`` for the field ``name``: a model by its name, and no null."""
     if value is None:
-        raise ScenarioError(f"{section}: {field.name} must not be null")
+        raise ScenarioError(f"{section}: {name} must not be null")
     try:
-        return PatternModel(value) if field.type == "PatternModel" else value
+        return PatternModel(value) if name == "model" else value
     except ValueError:
         options = ", ".join(m.value for m in PatternModel)
-        raise ScenarioError(f"{section}: {field.name} must be one of: {options}") from None
+        raise ScenarioError(f"{section}: {name} must be one of: {options}") from None
 
 
 def _label(section: str, key) -> str:
@@ -151,13 +150,13 @@ def _record(record, section: str, raw, **given):
     """
     raw = _mapping(section, raw)
     values = dict(given)
-    for field in dataclasses.fields(record):
-        if field.name in given:
+    for name, parameter in record.__signature__.parameters.items():
+        if name in given:
             continue
-        if field.name in raw:
-            values[field.name] = _value(section, field, raw.pop(field.name))
-        elif field.default is dataclasses.MISSING:
-            raise ScenarioError(f"missing required key '{_label(section, field.name)}'")
+        if name in raw:
+            values[name] = _value(section, name, raw.pop(name))
+        elif parameter.default is parameter.empty:
+            raise ScenarioError(f"missing required key '{_label(section, name)}'")
     try:
         built = record(**values)
     except ValueError as exc:
@@ -188,7 +187,7 @@ def _parse_document(doc) -> ScenarioFile:
     scenario = _record(LinkScenario, "link", link, label=LinkScenario.label,
                        tx_antenna=_record(AntennaConfig, "antenna", antenna))
     try:
-        scenario = dataclasses.replace(scenario, label=top.pop("label", scenario.label))
+        scenario = scenario.replace(label=top.pop("label", scenario.label))
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     tissue = _record(TissueProperties, "tissue", top.pop("tissue", None))
@@ -296,10 +295,10 @@ def _parse_error_text(exc: Exception, parsed) -> str:
 def _dump(record, *skip: str) -> dict:
     # field order is key order; None means "absent" and is left out
     doc = {}
-    for field in dataclasses.fields(record):
-        value = getattr(record, field.name)
-        if field.name not in skip and value is not None:
-            doc[field.name] = list(value) if isinstance(value, tuple) else value
+    for name in record.__signature__.parameters:
+        value = getattr(record, name)
+        if name not in skip and value is not None:
+            doc[name] = list(value) if isinstance(value, tuple) else value
     return doc
 
 

@@ -317,6 +317,27 @@ def test_sweep_partial_grid_flags_exit_1():
     assert b"--to" in err
 
 
+def test_a_scenario_without_a_sweep_section_needs_the_grid_flags(tmp_path):
+    doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
+    del doc["sweep"]
+    scenario = tmp_path / "no-sweep.yaml"
+    scenario.write_text(yaml.safe_dump(doc))
+    assert run_cli("sweep", "--scenario", str(scenario)) == (
+        1, b"", b"error: the scenario has no sweep section; pass --from, --to, and --points\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["presets"], ["sweep", "--preset", "wearable-60ghz"],
+    ["safe-distance", "--preset", "wearable-60ghz", "--limit", "FCC"]])
+def test_a_closed_stdout_is_one_error_line(monkeypatch, argv):
+    # a process started with its stdout closed (`wearemf presets >&-`) has no sys.stdout
+    monkeypatch.setattr(sys, "stdout", None)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert cli.main(argv) == 1
+    assert stderr.getvalue() == "error: standard output is closed\n"
+
+
 def test_scenario_file_is_loadable(tmp_path):
     scenario = tmp_path / "custom.yaml"
     scenario.write_text(

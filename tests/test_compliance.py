@@ -156,6 +156,19 @@ def test_solver_refuses_a_near_end_beyond_double_precision(tx_power_dbm, d_lo_m,
                           DistanceSearch(d_lo_m=d_lo_m), P60.quadrature)
 
 
+@pytest.mark.parametrize("d_lo_m", [1e-6, 1e-150])
+def test_solver_extrapolates_where_the_sar_ratio_overflows(d_lo_m):
+    # SAR(d_lo) / limit overflows a double, but the crossing does not
+    limit = ComplianceLimit("tiny", 1e-300)
+    found, from_1e_5 = (min_safe_distance(P60.scenario, P60.tissue, limit,
+                                          DistanceSearch(lo, 1e160), P60.quadrature)
+                        for lo in (d_lo_m, 1e-5))
+    assert found == from_1e_5 == 2.2625283309059828e+148
+    below = math.nextafter(found, 0.0)
+    assert sar_avg(P60.scenario, P60.tissue, found, P60.quadrature) <= 1e-300 \
+        < sar_avg(P60.scenario, P60.tissue, below, P60.quadrature)
+
+
 def test_solver_stable_under_grid_refinement():
     search = DistanceSearch()
     fine = QuadratureSpec(samples_per_axis=721)

@@ -120,6 +120,11 @@ def test_sar_boundary_overflow_raises():
         sar_boundary(1e300, tissue)
 
 
+def test_sar_boundary_rejects_a_negative_power_density():
+    with pytest.raises(ValueError, match="^pd_w_per_m2 must be >= 0$"):
+        sar_boundary(-1.0, SKIN)
+
+
 def test_sar_boundary_reference_value():
     tissue = TissueProperties(reflection_override=0.6)
     assert sar_boundary(85.6, tissue) == pytest.approx(109.568, rel=1e-12)

@@ -1,10 +1,12 @@
 """Scenario file grammar, presets, serialization, and result emission."""
 
+import ast
 import copy
 import dataclasses
 import inspect
 import json
 import math
+import os
 import pickle
 import re
 from fractions import Fraction
@@ -15,6 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wearemf
 from wearemf import (
     CSV_FIELDS,
     AntennaConfig,
@@ -199,6 +202,7 @@ def test_wrong_value_types_are_rejected():
         (MINIMAL + "limits:\n  - name: 5\n    sar_limit_w_per_kg: 2.0\n",
          r"^limits\[0\]: name must be a non-empty string$"),
         (MINIMAL + "sweep:\n  distances_m: 0.01\n", "^sweep: distances_m must be a list"),
+        (MINIMAL + "limits: 5\n", "^'limits' must be a list$"),
         (MINIMAL.replace("model: parabolic-envelope", "model: [1]"),
          "^antenna: model must be one of: parabolic-envelope, linear-array-factor$"),
         # null would read as the absent key's default
@@ -551,7 +555,7 @@ def test_records_refuse_assignment_and_deletion(name):
 def test_records_pickle_copy_and_work_with_dataclasses_functions(name):
     for record in _records(load_preset(name)):
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
-                     copy.deepcopy(record), dataclasses.replace(record)):
+                     copy.deepcopy(record), dataclasses.replace(record), record.replace()):
             assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
         assert dataclasses.is_dataclass(record)
         names = [field.name for field in dataclasses.fields(record)]
@@ -566,6 +570,8 @@ def test_records_pickle_copy_and_work_with_dataclasses_functions(name):
     assert changed == QuadratureSpec(721, loaded.quadrature.convergence_tol)
     with pytest.raises(ValueError, match=r"^samples_per_axis must be an integer in \[2, 65536\]$"):
         dataclasses.replace(loaded.quadrature, samples_per_axis=1)
+    with pytest.raises(ValueError, match=r"^samples_per_axis must be an integer in \[2, 65536\]$"):
+        loaded.quadrature.replace(samples_per_axis=1)
 
 
 @pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)
@@ -585,6 +591,34 @@ def test_records_share_one_set_of_methods(record):
     # the shared base holds them, so no record compiles its own
     for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         assert method not in vars(record), method
+
+
+def test_a_plain_subclass_of_a_record_builds_as_its_parent():
+    class Finer(QuadratureSpec):
+        pass
+
+    finer = Finer(721)
+    assert repr(finer).endswith("Finer(samples_per_axis=721, convergence_tol=0.001)")
+    assert str(inspect.signature(Finer)) == _SIGNATURES[QuadratureSpec]
+    assert finer != QuadratureSpec(721) and finer == Finer(721)
+    assert type(finer.replace()) is Finer and finer.replace(samples_per_axis=181) == Finer(181)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'samples'"):
+        finer.replace(samples=181)
+
+
+def test_only_the_record_base_knows_the_records_are_dataclasses():
+    package = os.path.dirname(wearemf.__file__)
+    naming = set()
+    for entry in os.listdir(package):
+        if entry.endswith(".py"):
+            with open(os.path.join(package, entry), encoding="utf-8") as file:
+                tree = ast.parse(file.read())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Name) and node.id == "dataclasses"
+                        or isinstance(node, ast.alias) and node.name == "dataclasses"
+                        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"):
+                    naming.add(entry)
+    assert naming == {"antenna.py"}
 
 
 def _rows():

@@ -54,8 +54,10 @@ class _FrozenRecord:
     Each subclass is declared a dataclass that generates none of these, so the
     ``dataclasses`` functions accept it; no other module relies on that.  Its
     ``__signature__`` is its field table: a parameter per field, with the
-    field's default or ``Parameter.empty``.  The constructor takes the fields
-    by position or keyword and then calls the record's ``__post_init__``.
+    field's default or ``Parameter.empty``.  The constructor binds its
+    arguments through that signature, so a misused call raises
+    ``inspect.Signature.bind``'s ``TypeError``, and then calls the record's
+    ``__post_init__``.
     Records are equal when they are of one class with equal fields, hash as
     the tuple of their fields and print as a dataclass does; assigning or
     deleting an attribute raises ``dataclasses.FrozenInstanceError``.
@@ -75,23 +77,10 @@ class _FrozenRecord:
             for field in fields], return_annotation=None)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__signature__.parameters
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {len(fields)} positional "
-                            f"arguments but {len(args)} were given")
-        for name, value in zip(fields, args):
-            if name in kwargs:
-                raise TypeError(f"{type(self).__name__}() got multiple values for "
-                                f"argument {name!r}")
-            kwargs[name] = value
-        for name, parameter in fields.items():
-            value = kwargs.pop(name, parameter.default)
-            if value is parameter.empty:
-                raise TypeError(f"{type(self).__name__}() missing required argument {name!r}")
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        for name, value in bound.arguments.items():
             object.__setattr__(self, name, value)
-        if kwargs:
-            raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument "
-                            f"{next(iter(kwargs))!r}")
         self.__post_init__()
 
     def replace(self, **changes):

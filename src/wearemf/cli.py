@@ -82,10 +82,15 @@ def _load(args: argparse.Namespace) -> ScenarioFile:
 
 def _write(output: str, data: bytes) -> None:
     if output in ("stdout", "-"):
-        if sys.stdout is None:  # the process was started with stdout closed
+        stream = sys.stdout
+        if stream is None:  # the process was started with stdout closed
             raise OSError("standard output is closed")
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        if hasattr(stream, "buffer"):
+            stream = stream.buffer
+        else:  # a text stream such as io.StringIO
+            data = data.decode("ascii")
+        stream.write(data)
+        stream.flush()
     else:
         with open(output, "wb") as file:
             file.write(data)

@@ -142,18 +142,27 @@ def test_solver_result_does_not_depend_on_the_bracket(preset, limit_name):
     assert short == wide
 
 
-@pytest.mark.parametrize("tx_power_dbm, d_lo_m, error", [
+@pytest.mark.parametrize("tx_power_dbm, tissue, limit, search, error, message", [
     # the averaged SAR at the near end overflows
-    (10.0, 2e-156, OverflowError),
+    pytest.param(10.0, P60.tissue, BUILTIN_LIMITS["ICNIRP"], DistanceSearch(d_lo_m=2e-156),
+                 OverflowError, "^boundary SAR overflows", id="10.0-2e-156-OverflowError"),
     # the square of the near end is subnormal, so the start is far off
-    (-100.0, 2e-161, FloatingPointError),
+    pytest.param(-100.0, P60.tissue, BUILTIN_LIMITS["ICNIRP"], DistanceSearch(d_lo_m=2e-161),
+                 FloatingPointError, "too imprecise to locate the ICNIRP crossing$",
+                 id="-100.0-2e-161-FloatingPointError"),
+    # the averaged SAR at the near end is finite, but the crossing lies
+    # beyond the double range
+    pytest.param(10.0, TissueProperties(7.98, 10.9, 1e-150, 1e-150, 0.7),
+                 ComplianceLimit("x", 5e-324), DistanceSearch(1.0, 1e300), OverflowError,
+                 r"^averaged SAR at the near end of the search range, 1\.0 m, is too large "
+                 "to extrapolate to the x crossing$", id="1.0-crossing-beyond-doubles"),
 ])
-def test_solver_refuses_a_near_end_beyond_double_precision(tx_power_dbm, d_lo_m, error):
+def test_solver_refuses_a_near_end_beyond_double_precision(tx_power_dbm, tissue, limit, search,
+                                                           error, message):
     link = LinkScenario(carrier_mhz=60000.0, bandwidth_hz=2.16e9,
                         tx_power_dbm=tx_power_dbm, tx_antenna=P60.scenario.tx_antenna)
-    with pytest.raises(error):
-        min_safe_distance(link, P60.tissue, BUILTIN_LIMITS["ICNIRP"],
-                          DistanceSearch(d_lo_m=d_lo_m), P60.quadrature)
+    with pytest.raises(error, match=message):
+        min_safe_distance(link, tissue, limit, search, P60.quadrature)
 
 
 @pytest.mark.parametrize("d_lo_m", [1e-6, 1e-150])

@@ -577,13 +577,21 @@ def test_records_pickle_copy_and_work_with_dataclasses_functions(name):
 @pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)
 def test_record_constructors_keep_their_signatures(record):
     assert str(inspect.signature(record)) == _SIGNATURES[record]
-    positional = [p.name for p in inspect.signature(record).parameters.values()]
-    with pytest.raises(TypeError):
-        record(*[None] * (len(positional) + 1))
-    with pytest.raises(TypeError):
-        record(not_a_field=None)
-    with pytest.raises(TypeError):
-        record(None, **{positional[0]: None})
+    parameters = inspect.signature(record).parameters
+    # too many positional arguments, a duplicate name, an unknown keyword, and
+    # (where the record has a required field) a missing one
+    shapes = [([None] * (len(parameters) + 1), {}), ([None], {next(iter(parameters)): None}),
+              ([], {"not_a_field": None})]
+    if any(p.default is p.empty for p in parameters.values()):
+        shapes.append(([], {}))
+    # the record and a plain subclass refuse each call as their signature does
+    for built in (record, type("Finer", (record,), {})):
+        for args, kwargs in shapes:
+            with pytest.raises(TypeError) as expected:
+                inspect.signature(built).bind(*args, **kwargs)
+            with pytest.raises(TypeError) as raised:
+                built(*args, **kwargs)
+            assert str(raised.value) == str(expected.value), (args, kwargs)
 
 
 @pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)

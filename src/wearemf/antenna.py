@@ -10,9 +10,7 @@ principal range so every pattern is periodic over a full turn.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-import inspect
 import math
 import numbers
 from operator import attrgetter
@@ -47,46 +45,61 @@ def _real(value, name: str, above: float | None = None) -> float:
     return value
 
 
+class _DataclassFields:
+    """The ``__dataclass_fields__`` of a record class, read by the ``dataclasses``
+    functions: the first read declares the class a dataclass whose fields are
+    its ``__init__``'s parameters, which stores the real table on the class."""
+
+    def __get__(self, record, cls):
+        if cls is _FrozenRecord:
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+
+        cls.__annotations__ = {name: kind for name, kind in cls.__init__.__annotations__.items()
+                               if name != "return"}
+        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
+        return vars(cls)["__dataclass_fields__"]
+
+
 class _FrozenRecord:
-    """The base of the frozen records: it holds their constructor, ``replace``,
+    """The base of the frozen records: it holds their field table, ``replace``,
     equality, hash, repr and the refusal to assign or delete a field.
 
-    Each subclass is declared a dataclass that generates none of these, so the
-    ``dataclasses`` functions accept it; no other module relies on that.  Its
-    ``__signature__`` is its field table: a parameter per field, with the
-    field's default or ``Parameter.empty``.  The constructor binds its
-    arguments through that signature, so a misused call raises
-    ``inspect.Signature.bind``'s ``TypeError``, and then calls the record's
-    ``__post_init__``.
+    A record's ``__init__`` is its field table: a parameter per field, with the
+    field's default.  Python binds the arguments, so a misused call raises
+    CPython's own ``TypeError``; the body stores them with ``_store(locals())``
+    and then checks them.  The defaults are also class attributes.
     Records are equal when they are of one class with equal fields, hash as
     the tuple of their fields and print as a dataclass does; assigning or
-    deleting an attribute raises ``dataclasses.FrozenInstanceError``.
+    deleting an attribute raises ``dataclasses.FrozenInstanceError``.  The
+    ``dataclasses`` functions accept every record, and a record class is
+    declared a dataclass when one of them first reads it; this package
+    imports neither ``dataclasses`` nor ``inspect`` itself.
     """
 
+    __dataclass_fields__ = _DataclassFields()
+
     def __init_subclass__(cls) -> None:
-        dataclasses.dataclass(cls, init=False, repr=False, eq=False)
-        fields = dataclasses.fields(cls)
+        init = vars(cls).get("__init__")
+        if init is None:  # a plain subclass keeps its parent's fields
+            return
+        code, defaults = init.__code__, init.__defaults__ or ()
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for name, default in zip(cls._fields[len(cls._fields) - len(defaults):], defaults):
+            setattr(cls, name, default)
         # the tuple of the field values, built in C: AntennaConfig keys a cache
         # (every record has two fields or more, so this is always a tuple)
-        cls._values = attrgetter(*(field.name for field in fields))
-        # what inspect.signature shows for the class: the fields, with their defaults
-        empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
-        cls.__signature__ = inspect.Signature([inspect.Parameter(
-            field.name, kind, annotation=field.type,
-            default=empty if field.default is dataclasses.MISSING else field.default)
-            for field in fields], return_annotation=None)
+        cls._values = attrgetter(*cls._fields)
 
-    def __init__(self, *args, **kwargs) -> None:
-        bound = self.__signature__.bind(*args, **kwargs)
-        bound.apply_defaults()
-        for name, value in bound.arguments.items():
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+    def _store(self, values: dict) -> None:
+        """Set each field to its entry in ``values``, the ``locals()`` of ``__init__``."""
+        for name in self._fields:
+            object.__setattr__(self, name, values[name])
 
     def replace(self, **changes):
         """A copy with ``changes`` to its fields, built by the record's constructor."""
         return type(self)(**{name: changes.pop(name, getattr(self, name))
-                             for name in self.__signature__.parameters}, **changes)
+                             for name in self._fields}, **changes)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -97,15 +110,18 @@ class _FrozenRecord:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__signature__.parameters)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class AntennaConfig(_FrozenRecord):
@@ -119,17 +135,11 @@ class AntennaConfig(_FrozenRecord):
     [g_max_dbi - sidelobe_floor_db, g_max_dbi].
     """
 
-    model: PatternModel
-    g_max_dbi: float
-    n_elements: int = 1
-    element_spacing_wavelengths: float = 0.5
-    theta_3db_deg: float = 93.0
-    sidelobe_floor_db: float = 30.0
-    boresight_elevation_deg: float = 0.0
-    boresight_azimuth_deg: float = 0.0
-    omni_azimuth: bool = False
-
-    def __post_init__(self) -> None:
+    def __init__(self, model: PatternModel, g_max_dbi: float, n_elements: int = 1,
+                 element_spacing_wavelengths: float = 0.5, theta_3db_deg: float = 93.0,
+                 sidelobe_floor_db: float = 30.0, boresight_elevation_deg: float = 0.0,
+                 boresight_azimuth_deg: float = 0.0, omni_azimuth: bool = False) -> None:
+        self._store(locals())
         if not isinstance(self.model, PatternModel):
             raise ValueError(f"model must be a PatternModel member, got {self.model!r}")
         for name, above in (("g_max_dbi", None), ("element_spacing_wavelengths", None),

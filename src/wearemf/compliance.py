@@ -32,11 +32,9 @@ class LimitUnreachableError(RuntimeError):
 class ComplianceLimit(_FrozenRecord):
     """A named regulatory SAR threshold."""
 
-    name: str
-    sar_limit_w_per_kg: float
-    averaging_mass_note: str = ""
-
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, sar_limit_w_per_kg: float,
+                 averaging_mass_note: str = "") -> None:
+        self._store(locals())
         if not (isinstance(self.name, str) and self.name):
             raise ValueError("name must be a non-empty string")
         if not isinstance(self.averaging_mass_note, str):
@@ -55,11 +53,8 @@ class DistanceSearch(_FrozenRecord):
     """Search range for the safe distance, and the accuracy ``tol_m``
     that callers may check its result against."""
 
-    d_lo_m: float = 1e-3
-    d_hi_m: float = 1.0
-    tol_m: float = 1e-5
-
-    def __post_init__(self) -> None:
+    def __init__(self, d_lo_m: float = 1e-3, d_hi_m: float = 1.0, tol_m: float = 1e-5) -> None:
+        self._store(locals())
         for name in ("d_lo_m", "tol_m"):
             object.__setattr__(self, name, _real(getattr(self, name), name, 0))
         object.__setattr__(self, "d_hi_m", _real(self.d_hi_m, "d_hi_m", self.d_lo_m))

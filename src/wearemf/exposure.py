@@ -55,10 +55,8 @@ class QuadratureSpec(_FrozenRecord):
     ConvergenceError instead of returning a suspect value.
     """
 
-    samples_per_axis: int = 361
-    convergence_tol: float = 1e-3
-
-    def __post_init__(self) -> None:
+    def __init__(self, samples_per_axis: int = 361, convergence_tol: float = 1e-3) -> None:
+        self._store(locals())
         object.__setattr__(self, "samples_per_axis",
                            _whole_number(self.samples_per_axis, "samples_per_axis", 2))
         object.__setattr__(self, "convergence_tol",
@@ -76,13 +74,10 @@ class TissueProperties(_FrozenRecord):
     coefficient from the permittivity, which then needs eps' > 0.
     """
 
-    rel_permittivity_real: float = 1.0
-    rel_permittivity_imag: float = 0.0
-    mass_density_kg_per_m3: float = 1000.0
-    penetration_depth_m: float = 1e-3
-    reflection_override: float | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, rel_permittivity_real: float = 1.0, rel_permittivity_imag: float = 0.0,
+                 mass_density_kg_per_m3: float = 1000.0, penetration_depth_m: float = 1e-3,
+                 reflection_override: float | None = None) -> None:
+        self._store(locals())
         for name in ("rel_permittivity_real", "rel_permittivity_imag"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.rel_permittivity_imag < 0.0:

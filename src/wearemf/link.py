@@ -38,16 +38,11 @@ class LinkScenario(_FrozenRecord):
     placement metadata and has no numerical effect.
     """
 
-    carrier_mhz: float
-    bandwidth_hz: float
-    tx_power_dbm: float
-    tx_antenna: AntennaConfig
-    rx_gain_dbi: float = 0.0
-    noise_figure_db: float = 0.0
-    temperature_k: float = 290.0
-    label: str = ""
-
-    def __post_init__(self) -> None:
+    def __init__(self, carrier_mhz: float, bandwidth_hz: float, tx_power_dbm: float,
+                 tx_antenna: AntennaConfig, rx_gain_dbi: float = 0.0,
+                 noise_figure_db: float = 0.0, temperature_k: float = 290.0,
+                 label: str = "") -> None:
+        self._store(locals())
         if not isinstance(self.tx_antenna, AntennaConfig):
             raise ValueError("tx_antenna must be an AntennaConfig")
         if not isinstance(self.label, str):

@@ -56,12 +56,9 @@ class SweepGrid(_FrozenRecord):
     """Distance grid, either linear (start/stop/points, at most 2^16 points)
     or explicit; it holds to the rule of ``sweep``'s distances."""
 
-    start_m: float | None = None
-    stop_m: float | None = None
-    points: int | None = None
-    distances_m: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, start_m: float | None = None, stop_m: float | None = None,
+                 points: int | None = None, distances_m: tuple[float, ...] | None = None) -> None:
+        self._store(locals())
         linear = (self.start_m, self.stop_m, self.points)
         if self.distances_m is not None:
             if any(v is not None for v in linear):
@@ -91,13 +88,10 @@ class SweepGrid(_FrozenRecord):
 class ScenarioFile(_FrozenRecord):
     """A fully validated scenario: link, tissue, quadrature, limits, grid."""
 
-    scenario: LinkScenario
-    tissue: TissueProperties
-    quadrature: QuadratureSpec
-    limits: tuple[ComplianceLimit, ...]
-    sweep_grid: SweepGrid | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, scenario: LinkScenario, tissue: TissueProperties,
+                 quadrature: QuadratureSpec, limits: tuple[ComplianceLimit, ...],
+                 sweep_grid: SweepGrid | None = None) -> None:
+        self._store(locals())
         if not isinstance(self.scenario, LinkScenario):
             raise ValueError("scenario must be a LinkScenario")
         if not isinstance(self.tissue, TissueProperties):
@@ -108,6 +102,10 @@ class ScenarioFile(_FrozenRecord):
                 and all(isinstance(entry, ComplianceLimit) for entry in self.limits)):
             raise ValueError("limits must be a list or tuple of ComplianceLimit records")
         object.__setattr__(self, "limits", tuple(self.limits))
+        names = [limit.name for limit in self.limits]
+        for at, name in enumerate(names):
+            if name in names[:at]:
+                raise ValueError(f"limits holds two entries named {name!r}")
         if self.sweep_grid is not None and not isinstance(self.sweep_grid, SweepGrid):
             raise ValueError("sweep_grid must be a SweepGrid")
 
@@ -150,12 +148,12 @@ def _record(record, section: str, raw, **given):
     """
     raw = _mapping(section, raw)
     values = dict(given)
-    for name, parameter in record.__signature__.parameters.items():
+    for name in record._fields:
         if name in given:
             continue
         if name in raw:
             values[name] = _value(section, name, raw.pop(name))
-        elif parameter.default is parameter.empty:
+        elif not hasattr(record, name):
             raise ScenarioError(f"missing required key '{_label(section, name)}'")
     try:
         built = record(**values)
@@ -196,8 +194,11 @@ def _parse_document(doc) -> ScenarioFile:
     sweep = top.pop("sweep", None)
     sweep_grid = None if sweep is None else _record(SweepGrid, "sweep", sweep)
     _no_leftovers("", top)
-    return ScenarioFile(scenario=scenario, tissue=tissue, quadrature=quadrature,
-                        limits=limits, sweep_grid=sweep_grid)
+    try:
+        return ScenarioFile(scenario=scenario, tissue=tissue, quadrature=quadrature,
+                            limits=limits, sweep_grid=sweep_grid)
+    except ValueError as exc:  # a rule across sections, so no section names it
+        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path: str | os.PathLike) -> ScenarioFile:
@@ -295,7 +296,7 @@ def _parse_error_text(exc: Exception, parsed) -> str:
 def _dump(record, *skip: str) -> dict:
     # field order is key order; None means "absent" and is left out
     doc = {}
-    for name in record.__signature__.parameters:
+    for name in record._fields:
         value = getattr(record, name)
         if name not in skip and value is not None:
             doc[name] = list(value) if isinstance(value, tuple) else value

@@ -268,6 +268,24 @@ def test_unknown_limit_name_exits_1():
     assert b"unknown limit" in err
 
 
+def test_a_scenario_limit_name_names_one_limit(tmp_path):
+    doc = yaml.safe_load(serialize_scenario(load_preset("wearable-60ghz")))
+    scenario = tmp_path / "limits.yaml"
+    # two entries named X: --limit X could use either, so the file is refused
+    doc["limits"] = [{"name": "X", "sar_limit_w_per_kg": 1.0},
+                     {"name": "X", "sar_limit_w_per_kg": 2.0}]
+    scenario.write_text(yaml.safe_dump(doc))
+    assert run_cli("safe-distance", "--scenario", str(scenario), "--limit", "X") == (
+        1, b"", b"error: limits holds two entries named 'X'\n")
+    # one entry named as a built-in limit replaces it
+    doc["limits"] = [{"name": "ICNIRP", "sar_limit_w_per_kg": 1.0}]
+    scenario.write_text(yaml.safe_dump(doc))
+    code, out, _ = run_cli("safe-distance", "--scenario", str(scenario), "--limit", "ICNIRP")
+    assert (code, out) == run_cli("safe-distance", "--scenario", str(scenario),
+                                  "--limit", "1.0")[:2]
+    assert code == 0
+
+
 def test_sweep_writes_csv_file(tmp_path):
     target = tmp_path / "rows.csv"
     code, _, _ = run_cli("sweep", "--preset", "wearable-60ghz",
@@ -551,7 +569,9 @@ def test_preset_calls_never_import_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["presets"], ["safe-distance", "--preset", "wearable-60ghz", "--limit", "FCC"]])
+    ["presets"], ["safe-distance", "--preset", "wearable-60ghz", "--limit", "FCC"],
+    ["sweep", "--preset", "wearable-60ghz"],
+    ["sweep", "--scenario", os.path.join(os.path.dirname(__file__), "golden", "distances.yaml")]])
 def test_preset_calls_import_no_path_or_resource_layer(argv):
     # -S: no site, whose imports would hide the CLI's own; PyYAML through PYTHONPATH
     path = os.pathsep.join(os.path.dirname(os.path.dirname(module.__file__))
@@ -562,7 +582,8 @@ def test_preset_calls_import_no_path_or_resource_layer(argv):
     imported = {line.rpartition("|")[2].strip() for line in done.stderr.decode().splitlines()
                 if line.startswith("import time:")}
     assert "wearemf.cli" in imported
-    assert imported & {"importlib.resources", "pathlib", "tempfile", "typing"} == set()
+    assert imported & {"importlib.resources", "pathlib", "tempfile", "typing",
+                       "dataclasses", "inspect"} == set()
 
 
 def test_cli_on_the_presets_never_imports_numpy(tmp_path):

@@ -21,6 +21,7 @@ import os
 import platform
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -40,7 +41,7 @@ def _platform() -> dict:
 def _run(argv: list[str], stdout) -> tuple:
     """The exit code, stderr and stored ``--output`` file (or None) of
     ``cli.main(argv)`` run with ``stdout`` as standard output, its paths
-    resolved as the manifest's."""
+    resolved as the manifest's, and an 80-column terminal for ``--help``."""
     resolved = list(argv)
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as work:
@@ -48,7 +49,8 @@ def _run(argv: list[str], stdout) -> tuple:
             if option in ("--scenario", "--output"):
                 base = GOLDEN if option == "--scenario" else work
                 resolved[at + 1] = os.path.join(base, argv[at + 1])
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.dict(os.environ, COLUMNS="80"):
             code = cli.main(resolved)
         output = None
         if "--output" in argv and os.path.exists(path := resolved[argv.index("--output") + 1]):

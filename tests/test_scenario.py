@@ -9,6 +9,9 @@ import math
 import os
 import pickle
 import re
+import subprocess
+import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +206,9 @@ def test_wrong_value_types_are_rejected():
          r"^limits\[0\]: name must be a non-empty string$"),
         (MINIMAL + "sweep:\n  distances_m: 0.01\n", "^sweep: distances_m must be a list"),
         (MINIMAL + "limits: 5\n", "^'limits' must be a list$"),
+        # two limits of one name, which `safe-distance --limit X` could not tell apart
+        (MINIMAL + "limits:\n  - {name: X, sar_limit_w_per_kg: 1}\n"
+         "  - {name: X, sar_limit_w_per_kg: 2}\n", "^limits holds two entries named 'X'$"),
         (MINIMAL.replace("model: parabolic-envelope", "model: [1]"),
          "^antenna: model must be one of: parabolic-envelope, linear-array-factor$"),
         # null would read as the absent key's default
@@ -445,8 +451,9 @@ def test_a_record_that_builds_is_a_file_that_loads(loaded, change):
     assert parse_scenario(serialize_scenario(built)) == built
 
 
-# both presets' records built from literals, and the reprs and constructor
-# signatures that the records have had since they were generated dataclasses
+# both presets' records built from literals, their reprs, and their constructor
+# signatures, whose parameters the records have had since they were generated
+# dataclasses
 _LIMITS = (ComplianceLimit("ICNIRP", 2.0, "10-g average"),
            ComplianceLimit("FCC", 1.6, "1-g average"))
 _LITERAL_PRESETS = {
@@ -493,23 +500,51 @@ _SIGNATURES = {
     AntennaConfig: "(model: 'PatternModel', g_max_dbi: 'float', n_elements: 'int' = 1, "
                    "element_spacing_wavelengths: 'float' = 0.5, theta_3db_deg: 'float' = 93.0, "
                    "sidelobe_floor_db: 'float' = 30.0, boresight_elevation_deg: 'float' = 0.0, "
-                   "boresight_azimuth_deg: 'float' = 0.0, omni_azimuth: 'bool' = False) -> None",
+                   "boresight_azimuth_deg: 'float' = 0.0, omni_azimuth: 'bool' = False) -> 'None'",
     LinkScenario: "(carrier_mhz: 'float', bandwidth_hz: 'float', tx_power_dbm: 'float', "
                   "tx_antenna: 'AntennaConfig', rx_gain_dbi: 'float' = 0.0, noise_figure_db: "
-                  "'float' = 0.0, temperature_k: 'float' = 290.0, label: 'str' = '') -> None",
+                  "'float' = 0.0, temperature_k: 'float' = 290.0, label: 'str' = '') -> 'None'",
     TissueProperties: "(rel_permittivity_real: 'float' = 1.0, rel_permittivity_imag: 'float' = "
                       "0.0, mass_density_kg_per_m3: 'float' = 1000.0, penetration_depth_m: "
-                      "'float' = 0.001, reflection_override: 'float | None' = None) -> None",
-    QuadratureSpec: "(samples_per_axis: 'int' = 361, convergence_tol: 'float' = 0.001) -> None",
+                      "'float' = 0.001, reflection_override: 'float | None' = None) -> 'None'",
+    QuadratureSpec: "(samples_per_axis: 'int' = 361, convergence_tol: 'float' = 0.001) -> 'None'",
     ComplianceLimit: "(name: 'str', sar_limit_w_per_kg: 'float', averaging_mass_note: 'str' = "
-                     "'') -> None",
+                     "'') -> 'None'",
     DistanceSearch: "(d_lo_m: 'float' = 0.001, d_hi_m: 'float' = 1.0, tol_m: 'float' = 1e-05) "
-                    "-> None",
+                    "-> 'None'",
     SweepGrid: "(start_m: 'float | None' = None, stop_m: 'float | None' = None, points: "
-               "'int | None' = None, distances_m: 'tuple[float, ...] | None' = None) -> None",
+               "'int | None' = None, distances_m: 'tuple[float, ...] | None' = None) -> 'None'",
     ScenarioFile: "(scenario: 'LinkScenario', tissue: 'TissueProperties', quadrature: "
                   "'QuadratureSpec', limits: 'tuple[ComplianceLimit, ...]', sweep_grid: "
-                  "'SweepGrid | None' = None) -> None",
+                  "'SweepGrid | None' = None) -> 'None'",
+}
+
+
+# CPython's refusals of a misused constructor: too many positional arguments,
+# a name given twice and, where the record has a required field, none given
+_MISUSES = {
+    AntennaConfig: ("takes from 3 to 10 positional arguments but 11 were given",
+                    "got multiple values for argument 'model'",
+                    "missing 2 required positional arguments: 'model' and 'g_max_dbi'"),
+    LinkScenario: ("takes from 5 to 9 positional arguments but 10 were given",
+                   "got multiple values for argument 'carrier_mhz'",
+                   "missing 4 required positional arguments: 'carrier_mhz', 'bandwidth_hz', "
+                   "'tx_power_dbm', and 'tx_antenna'"),
+    TissueProperties: ("takes from 1 to 6 positional arguments but 7 were given",
+                       "got multiple values for argument 'rel_permittivity_real'"),
+    QuadratureSpec: ("takes from 1 to 3 positional arguments but 4 were given",
+                     "got multiple values for argument 'samples_per_axis'"),
+    ComplianceLimit: ("takes from 3 to 4 positional arguments but 5 were given",
+                      "got multiple values for argument 'name'",
+                      "missing 2 required positional arguments: 'name' and 'sar_limit_w_per_kg'"),
+    DistanceSearch: ("takes from 1 to 4 positional arguments but 5 were given",
+                     "got multiple values for argument 'd_lo_m'"),
+    SweepGrid: ("takes from 1 to 5 positional arguments but 6 were given",
+                "got multiple values for argument 'start_m'"),
+    ScenarioFile: ("takes from 5 to 6 positional arguments but 7 were given",
+                   "got multiple values for argument 'scenario'",
+                   "missing 4 required positional arguments: 'scenario', 'tissue', 'quadrature', "
+                   "and 'limits'"),
 }
 
 
@@ -584,21 +619,26 @@ def test_record_constructors_keep_their_signatures(record):
               ([], {"not_a_field": None})]
     if any(p.default is p.empty for p in parameters.values()):
         shapes.append(([], {}))
-    # the record and a plain subclass refuse each call as their signature does
+    too_many, twice, *missing = _MISUSES[record]
+    texts = [too_many, twice, "got an unexpected keyword argument 'not_a_field'", *missing]
+    # the record and a plain subclass refuse each call alike, naming the record's __init__
     for built in (record, type("Finer", (record,), {})):
-        for args, kwargs in shapes:
-            with pytest.raises(TypeError) as expected:
-                inspect.signature(built).bind(*args, **kwargs)
+        for (args, kwargs), text in zip(shapes, texts, strict=True):
             with pytest.raises(TypeError) as raised:
                 built(*args, **kwargs)
-            assert str(raised.value) == str(expected.value), (args, kwargs)
+            assert str(raised.value) == f"{record.__name__}.__init__() {text}", (args, kwargs)
 
 
 @pytest.mark.parametrize("record", list(_SIGNATURES), ids=lambda record: record.__name__)
 def test_records_share_one_set_of_methods(record):
-    # the shared base holds them, so no record compiles its own
-    for method in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+    # the shared base holds them
+    for method in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         assert method not in vars(record), method
+    # and no record compiles code from a string: each of its functions is its module's
+    functions = [value for value in vars(record).values() if isinstance(value, types.FunctionType)]
+    assert "__init__" in {function.__name__ for function in functions}
+    for function in functions:
+        assert function.__code__.co_filename == sys.modules[record.__module__].__file__
 
 
 def test_a_plain_subclass_of_a_record_builds_as_its_parent():
@@ -612,6 +652,52 @@ def test_a_plain_subclass_of_a_record_builds_as_its_parent():
     assert type(finer.replace()) is Finer and finer.replace(samples_per_axis=181) == Finer(181)
     with pytest.raises(TypeError, match="unexpected keyword argument 'samples'"):
         finer.replace(samples=181)
+
+
+# a fresh interpreter, which meets the dataclasses functions only after it has
+# built records, as a benchmark or script that imports wearemf first does
+_LAZY_REGISTRATION = """
+import sys
+
+from wearemf import QuadratureSpec, load_preset
+
+loaded = load_preset("wearable-60ghz")
+
+
+class Finer(QuadratureSpec):
+    pass
+
+
+finer = Finer(721)
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+assert "__dataclass_fields__" not in vars(QuadratureSpec)
+import dataclasses
+
+# the subclass first, so that its parent is registered through it
+assert dataclasses.is_dataclass(finer) and dataclasses.is_dataclass(Finer)
+assert "__dataclass_fields__" in vars(QuadratureSpec)
+assert [field.name for field in dataclasses.fields(finer)] == [
+    "samples_per_axis", "convergence_tol"]
+assert dataclasses.asdict(finer) == {"samples_per_axis": 721, "convergence_tol": 0.001}
+assert dataclasses.replace(finer, samples_per_axis=181) == Finer(181)
+for record in (loaded, loaded.scenario, loaded.scenario.tx_antenna, loaded.tissue,
+               loaded.quadrature, *loaded.limits, loaded.sweep_grid):
+    assert dataclasses.is_dataclass(record)
+    names = [field.name for field in dataclasses.fields(record)]
+    assert names == list(record._fields) == list(dataclasses.asdict(record))
+    assert dataclasses.replace(record) == record
+assert dataclasses.replace(loaded, quadrature=finer).quadrature is finer
+assert dataclasses.replace(loaded.scenario, tx_power_dbm=3.0) == loaded.scenario.replace(
+    tx_power_dbm=3.0)
+print("registered")
+"""
+
+
+def test_records_register_with_dataclasses_when_first_read():
+    done = subprocess.run([sys.executable, "-S", "-c", _LAZY_REGISTRATION], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(
+                              os.path.dirname(wearemf.__file__))})
+    assert (done.returncode, done.stdout) == (0, b"registered\n"), done.stderr.decode()
 
 
 def test_only_the_record_base_knows_the_records_are_dataclasses():

@@ -213,16 +213,27 @@ def _elevation_dbs(config: AntennaConfig, thetas_rad) -> list[float]:
     each elevation of ``thetas_rad``, for a pattern that ignores azimuth: the
     array factor, or the parabolic envelope with ``omni_azimuth`` set.
     """
-    floor_db = config.sidelobe_floor_db
     if config.model is PatternModel.PARABOLIC_ENVELOPE:
+        floor_db = config.sidelobe_floor_db
         return [floor_db if floor_db < att else att for att in _parabolic_dbs(
             thetas_rad, config.boresight_elevation_deg, config.theta_3db_deg)]
+    return _array_factor(config, thetas_rad)
+
+
+def _array_factor(config: AntennaConfig, thetas_rad, ratios: bool = False) -> list[float]:
+    """The array factor's attenuation in dB, clipped to [0, sidelobe_floor_db], at
+    each elevation of ``thetas_rad``; with ``ratios`` set, its power ratio
+    10^(-att/10) instead, taken in the same pass, every clipped sample being one
+    shared 10^(-sidelobe_floor_db/10).
+    """
+    floor_db = config.sidelobe_floor_db
+    clipped = 10.0 ** (-floor_db / 10.0) if ratios else floor_db
     pi, two_pi, sin, log10, eps = math.pi, _TWO_PI, math.sin, math.log10, _SIN_EPS
     boresight = math.radians(config.boresight_elevation_deg)
     phase = pi * config.element_spacing_wavelengths
     n = float(config.n_elements)
     amp_floor = 10.0 ** (-floor_db / 20.0)
-    atts = []
+    values = []
     for theta in thetas_rad:
         x = phase * sin((theta - boresight + pi) % two_pi - pi)
         den = sin(x)
@@ -230,8 +241,8 @@ def _elevation_dbs(config: AntennaConfig, thetas_rad) -> list[float]:
         rel_amp = abs(n if -eps < den < eps else sin(n * x) / den) / n
         rel_amp = amp_floor if rel_amp < amp_floor else 1.0 if rel_amp > 1.0 else rel_amp
         att = -20.0 * log10(rel_amp)
-        atts.append(floor_db if floor_db < att else att)
-    return atts
+        values.append(clipped if floor_db <= att else 10.0 ** (-att / 10.0) if ratios else att)
+    return values
 
 
 def gain_dbi(config: AntennaConfig, theta_deg: float, phi_deg: float = 0.0) -> float:

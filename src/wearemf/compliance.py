@@ -76,46 +76,66 @@ def min_safe_distance(
 
     The averaged SAR is K/d^2, so the limit is crossed at
     d_lo_m * sqrt(SAR(d_lo_m) / limit).  The solve starts there and
-    steps up one float at a time until the averaged SAR complies: the
-    returned distance always complies and lies within a few float
-    steps of the smallest one that does.  Returns COMPLIANT_EVERYWHERE
-    when the near end of the range already complies, and raises
-    LimitUnreachableError when the far end does not.  Raises
-    OverflowError or FloatingPointError when the averaged SAR at the
-    near end is too large or too imprecise to extrapolate from.
+    steps one float at a time, down while the next double below still
+    complies or up until one does: the returned distance is the
+    smallest double in the range whose averaged SAR complies.  Returns
+    COMPLIANT_EVERYWHERE when the near end of the range already
+    complies, and raises LimitUnreachableError when the far end does
+    not.  Raises OverflowError or FloatingPointError when the averaged
+    SAR at the near end is too large or too imprecise to extrapolate
+    from.
 
     The chain's constants are computed once per solve, so each
     evaluation of the averaged SAR is a few float operations, equal to
-    ``sar_avg`` at that distance bit for bit.
+    ``sar_avg`` at that distance bit for bit.  A usual solve evaluates
+    the near end, the start and one neighbour; the far end is evaluated
+    only before a refusal, or when the walk reaches it.
     """
     threshold = limit.sar_limit_w_per_kg
     lo = search.d_lo_m
     hi = search.d_hi_m
     chain = _Chain(scenario, tissue, quadrature)
-    # the far end first: an unreachable limit outranks a near end too
-    # close to evaluate
-    if chain.sar_avg(hi) > threshold:
-        raise LimitUnreachableError(
-            f"averaged SAR still exceeds {threshold} W/kg ({limit.name}) "
-            f"at the far end of the search range, {hi} m")
-    sar_lo = chain.sar_avg(lo)
+
+    def refuse(error: Exception) -> Exception:
+        # an unreachable limit outranks a near end too close or too
+        # imprecise to extrapolate from
+        if chain.sar_avg(hi) > threshold:
+            return LimitUnreachableError(
+                f"averaged SAR still exceeds {threshold} W/kg ({limit.name}) "
+                f"at the far end of the search range, {hi} m")
+        return error
+
+    try:
+        sar_lo = chain.sar_avg(lo)
+    except OverflowError as error:
+        raise refuse(error) from None
     if sar_lo <= threshold:
         return COMPLIANT_EVERYWHERE
     d = lo * math.sqrt(sar_lo / threshold)
     if math.isinf(d):  # the ratio may overflow where the crossing does not
         d = lo * math.sqrt(sar_lo) / math.sqrt(threshold)
     if math.isinf(d):
-        raise OverflowError(
+        raise refuse(OverflowError(
             f"averaged SAR at the near end of the search range, {lo} m, is too "
-            f"large to extrapolate to the {limit.name} crossing")
+            f"large to extrapolate to the {limit.name} crossing"))
     d = min(hi, d)
-    for _ in range(_MAX_STEPS):
-        if chain.sar_avg(d) <= threshold:
-            return d
-        d = math.nextafter(d, hi)
-    raise FloatingPointError(
+    if chain.sar_avg(d) <= threshold:
+        # the near end does not comply, so neither can any double at or below it
+        for _ in range(_MAX_STEPS):
+            below = math.nextafter(d, 0.0)
+            if below <= lo or chain.sar_avg(below) > threshold:
+                return d
+            d = below
+    else:
+        for _ in range(_MAX_STEPS):
+            if d == hi:  # the far end does not comply either
+                break
+            d = math.nextafter(d, hi)
+            if chain.sar_avg(d) <= threshold:
+                return d
+    raise refuse(FloatingPointError(
         f"averaged SAR at the near end of the search range, {lo} m, is too "
-        f"imprecise to locate the {limit.name} crossing")
+        f"imprecise to locate the {limit.name} crossing"))
 
 
 def _check_distances(distances: Sequence[float], name: str) -> list[float]:

@@ -22,8 +22,9 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
-from .antenna import (AntennaConfig, PatternModel, _FrozenRecord, _elevation_dbs,
-                      _parabolic_dbs, _real, _whole_number)
+# _elevation_dbs is not called here; it stays importable from this module
+from .antenna import (AntennaConfig, PatternModel, _array_factor, _elevation_dbs,
+                      _FrozenRecord, _parabolic_dbs, _real, _whole_number)
 from .link import LinkScenario, db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -52,7 +53,10 @@ class QuadratureSpec(_FrozenRecord):
     [0, 2*pi], at most 2^16 so that the work of one average stays
     bounded.  Every evaluation is checked against a doubled grid;
     a relative shift above ``convergence_tol`` raises
-    ConvergenceError instead of returning a suspect value.
+    ConvergenceError instead of returning a suspect value.  The shift
+    is not an error bound: on random arrays that pass the check, the
+    true error was a median of 1.1 and a 90th percentile of 5.5 times
+    the shift, and far more where the two grids agree by chance.
     """
 
     def __init__(self, samples_per_axis: int = 361, convergence_tol: float = 1e-3) -> None:
@@ -223,8 +227,16 @@ def _running_sums(values) -> list[float]:
     return sums
 
 
-def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float) -> float:
-    """Trapezoid mean of 10^(-min(e_i + a_j, floor_db)/10) over [0, 2*pi]^2.
+def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float,
+                  last: int) -> float:
+    """Trapezoid mean of 10^(-min(e_i + a_j, floor_db)/10) over [0, 2*pi]^2 on
+    ``last`` panels per axis.
+
+    Each axis lists its first point, any of its inner points, then its
+    last point.  The inner points left out, and a first point given as
+    floor_db, lie on or beyond the floor: such a row is clipped in every
+    pair and such a column lies beyond every row's bound, so they are
+    counted, not sorted.
 
     Sorted by a_j, the pairs of row i that stay above the floor are a
     prefix, the a_j below floor_db - e_i; so one bisect into prefix sums
@@ -237,11 +249,10 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     and the walk O(n); memory is O(n), and the row terms are summed
     exactly.
     """
-    last = len(azimuth) - 1
     ascending = sorted(azimuth)
     # a stable sort by a_j puts the half-weight end columns j = 0 first and
     # j = last last among equal values
-    halves = (bisect_left(ascending, azimuth[0]), bisect_right(ascending, azimuth[last]) - 1)
+    halves = (bisect_left(ascending, azimuth[0]), bisect_right(ascending, azimuth[-1]) - 1)
     # no row reaches beyond the threshold of the lowest elevation
     reach = bisect_left(ascending, floor_db - min(elevation))
     ratios = [10.0 ** (-a / 10.0) for a in ascending[:reach]]
@@ -254,12 +265,12 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     weight_sums = [0.0, *accumulate(weights)]  # halves and ones: exact
     total_weight = float(last)
     floor_ratio = 10.0 ** (-floor_db / 10.0)
-    inner = sorted(elevation[1:last])
+    inner = sorted(elevation[1:-1])
     # e - floor_db is exactly -(floor_db - e) and rises with e: the rows clipped in
     # every pair come last
     clipped = bisect_left(inner, -ascending[0], key=lambda e: e - floor_db)
     rows = [floor_ratio * total_weight] * (last - 1 - clipped)
-    for e in (elevation[0], elevation[last]):
+    for e in (elevation[0], elevation[-1]):
         k = bisect_left(ascending, floor_db - e)
         rows += (0.5 * 10.0 ** (-e / 10.0) * ratio_sums[k],
                  0.5 * floor_ratio * (total_weight - weight_sums[k]))
@@ -275,6 +286,54 @@ def _clipped_mean(elevation: list[float], azimuth: list[float], floor_db: float)
     return math.fsum(rows) / (last * last)
 
 
+# below this boresight in radians a wrapped offset rounds far finer than the
+# finest grid step, 2*pi / (2^17 - 2), so offsets keep their order
+_MAIN_LOBE_BORESIGHT_RAD = 1e9
+
+
+def _main_lobe(grid, boresight_deg: float, theta_3db_deg: float,
+               floor_db: float) -> tuple[int, int, list[float]]:
+    """One parabolic axis's attenuation where it may lie below ``floor_db``:
+    (w, lo, atts), atts at grid[:w], at grid[lo:lo + len(atts) - w - 1]
+    (lo >= 1) and at grid[-1].  Every other point lies on or beyond the floor.
+
+    Less its end point, the grid is a cycle of n points along which the
+    wrapped offset from boresight rises but for one wrap; so the attenuation
+    falls and rises once, and the points below the floor are one cyclic run
+    [lo, hi), past n when it holds point 0.  Its edges are estimated from
+    boresight +- theta_3db * sqrt(floor_db / 12), at most a turn apart, and
+    stepped to the true ones by probing single points through
+    ``_parabolic_dbs``; rounding puts an estimate at most one point off, so
+    an edge takes at most three probes.  The end point 2*pi wraps on its own
+    and is always evaluated.  Too large a boresight keeps every point.
+    """
+    n = len(grid) - 1
+    boresight = math.radians(boresight_deg)
+    lo, hi = 1, n + 1
+    if abs(boresight) < _MAIN_LOBE_BORESIGHT_RAD:
+        half = math.radians(theta_3db_deg) * math.sqrt(floor_db / 12.0)
+        centre = boresight % _TWO_PI
+        lo = math.floor((centre - half) / grid[1]) + 1
+        hi = min(math.ceil((centre + half) / grid[1]), lo + n)
+
+        def below(i: int) -> bool:
+            return _parabolic_dbs((grid[i % n],), boresight_deg, theta_3db_deg)[0] < floor_db
+
+        while hi - lo < n and below(lo - 1):
+            lo -= 1
+        while lo < hi and not below(lo):
+            lo += 1
+        while hi - lo < n and below(hi):
+            hi += 1
+        while lo < hi and not below(hi - 1):
+            hi -= 1
+        shift = (lo - 1) // n * n
+        lo, hi = lo - shift, hi - shift
+    w = max(hi - n, 0)
+    return w, lo, _parabolic_dbs(grid[:w] + grid[lo:hi - w] + grid[-1:], boresight_deg,
+                                 theta_3db_deg)
+
+
 @lru_cache(maxsize=4)
 def _grid(points: int) -> tuple[float, ...]:
     """``points`` points spanning [0, 2*pi], the same for every antenna."""
@@ -287,20 +346,39 @@ def _pattern_means(antenna: AntennaConfig, samples: int) -> tuple[float, float]:
 
     The pattern is evaluated once, on the finer grid, whose even-indexed
     points are exactly the coarser grid; the coarse mean is taken from
-    that slice.  The azimuth weights sum to the panel count exactly, so
+    that slice.  A parabolic axis is evaluated only in its main-lobe
+    window, and every sample on the sidelobe floor shares one power
+    ratio.  The azimuth weights sum to the panel count exactly, so
     a pattern that ignores azimuth is averaged over elevation alone.
     Every sum is exactly rounded or in a fixed order, so repeated calls
     are bit-identical.
     """
     fine = _grid(2 * samples - 1)
-    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR or antenna.omni_azimuth:
-        ratios = [10.0 ** (-att / 10.0) for att in _elevation_dbs(antenna, fine)]
-        return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)
-    elevation = _parabolic_dbs(fine, antenna.boresight_elevation_deg, antenna.theta_3db_deg)
-    azimuth = _parabolic_dbs(fine, antenna.boresight_azimuth_deg, antenna.theta_3db_deg)
     floor_db = antenna.sidelobe_floor_db
-    return (_clipped_mean(elevation[::2], azimuth[::2], floor_db),
-            _clipped_mean(elevation, azimuth, floor_db))
+    if antenna.model is PatternModel.LINEAR_ARRAY_FACTOR:
+        ratios = _array_factor(antenna, fine, ratios=True)
+        return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)
+    theta_3db = antenna.theta_3db_deg
+    if antenna.omni_azimuth:
+        floor_ratio = 10.0 ** (-floor_db / 10.0)
+        w, lo, atts = _main_lobe(fine, antenna.boresight_elevation_deg, theta_3db, floor_db)
+        lobe = [floor_ratio if floor_db <= att else 10.0 ** (-att / 10.0) for att in atts]
+        ratios = [floor_ratio] * len(fine)
+        ratios[:w] = lobe[:w]
+        ratios[lo:lo + len(lobe) - w - 1] = lobe[w:-1]
+        ratios[-1] = lobe[-1]
+        return _trapezoid_mean(ratios[::2]), _trapezoid_mean(ratios)
+
+    def axis(boresight_deg: float) -> tuple[list[float], list[float]]:
+        """The axis as ``_clipped_mean`` takes it, on the grid and on the doubled grid."""
+        w, lo, atts = _main_lobe(fine, boresight_deg, theta_3db, floor_db)
+        first = [] if w else [floor_db]  # point 0 lies on or beyond the floor
+        # point n of the doubled grid is even, so the grid's points keep their parity
+        return first + atts[:w:2] + atts[w + lo % 2:-1:2] + atts[-1:], first + atts
+
+    elevation, azimuth = axis(antenna.boresight_elevation_deg), axis(antenna.boresight_azimuth_deg)
+    return (_clipped_mean(elevation[0], azimuth[0], floor_db, samples - 1),
+            _clipped_mean(elevation[1], azimuth[1], floor_db, 2 * samples - 2))
 
 
 def _mean_gain(antenna: AntennaConfig, quadrature: QuadratureSpec) -> float:

@@ -132,6 +132,34 @@ def test_solver_returns_the_smallest_compliant_float(monkeypatch, preset, limit_
         < sar_avg(preset.scenario, preset.tissue, below, preset.quadrature)
 
 
+# the averaged SAR is non-increasing in d, so the smallest compliant double is well
+# defined; the solver must return it on any link, limit and bracket
+@given(preset=st.sampled_from([P60, P24]), tx_power_dbm=st.floats(-20.0, 30.0),
+       log_limit=st.floats(-2.0, 2.0), log_lo=st.floats(-5.0, -2.0), log_hi=st.floats(0.0, 3.0))
+@seed(3232)
+@settings(max_examples=300, deadline=None)
+def test_solver_returns_the_smallest_compliant_double_on_random_solves(
+        preset, tx_power_dbm, log_limit, log_lo, log_hi):
+    link = preset.scenario.replace(tx_power_dbm=tx_power_dbm)
+    limit = ComplianceLimit("L", 10.0 ** log_limit)
+    search = DistanceSearch(10.0 ** log_lo, 10.0 ** log_hi)
+    try:
+        found = min_safe_distance(link, preset.tissue, limit, search, preset.quadrature)
+    except LimitUnreachableError:
+        assert sar_avg(link, preset.tissue, search.d_hi_m, preset.quadrature) \
+            > limit.sar_limit_w_per_kg
+        return
+    if found == COMPLIANT_EVERYWHERE:
+        assert sar_avg(link, preset.tissue, search.d_lo_m, preset.quadrature) \
+            <= limit.sar_limit_w_per_kg
+        return
+    assert search.d_lo_m < found <= search.d_hi_m
+    assert sar_avg(link, preset.tissue, found, preset.quadrature) <= limit.sar_limit_w_per_kg
+    below = math.nextafter(found, 0.0)
+    if below > search.d_lo_m:
+        assert limit.sar_limit_w_per_kg < sar_avg(link, preset.tissue, below, preset.quadrature)
+
+
 @pytest.mark.parametrize("limit_name", ["ICNIRP", "FCC"])
 @pytest.mark.parametrize("preset", [P60, P24], ids=["60ghz", "2.4ghz"])
 def test_solver_result_does_not_depend_on_the_bracket(preset, limit_name):

@@ -330,28 +330,49 @@ def test_the_refined_mean_is_the_mean_on_the_doubled_grid(kind):
 
 @pytest.mark.parametrize("kind", ["array", "omni", "2d"])
 def test_the_mean_gain_evaluates_the_pattern_once_on_the_doubled_grid(kind, monkeypatch):
-    points = []
-    elevation_dbs, parabolic_dbs = exposure._elevation_dbs, exposure._parabolic_dbs
+    calls = []
+    array_factor, parabolic_dbs = exposure._array_factor, exposure._parabolic_dbs
 
-    def counted_elevation_dbs(config, thetas_rad):
-        points.extend(thetas_rad)
-        return elevation_dbs(config, thetas_rad)
+    def counted_array_factor(config, thetas_rad, **kwargs):
+        calls.append(("array factor", list(thetas_rad)))
+        return array_factor(config, thetas_rad, **kwargs)
 
     def counted_parabolic_dbs(angles_rad, *axis):
-        points.extend(angles_rad)
+        calls.append((axis, list(angles_rad)))
         return parabolic_dbs(angles_rad, *axis)
 
-    monkeypatch.setattr(exposure, "_elevation_dbs", counted_elevation_dbs)
+    monkeypatch.setattr(exposure, "_array_factor", counted_array_factor)
     monkeypatch.setattr(exposure, "_parabolic_dbs", counted_parabolic_dbs)
-    # a design no other test uses, so that the pattern cache misses
-    antenna = _design(random.Random(f"once-{kind}"), kind)
+    # a design no other test uses, so that the pattern cache misses, and its
+    # narrower variant, whose main lobe leaves points on the floor
+    design = _design(random.Random(f"once-{kind}"), kind)
+    assert design.boresight_elevation_deg != design.boresight_azimuth_deg
     # the count is under test, not the accuracy of a random design
     quadrature = QuadratureSpec(samples_per_axis=181, convergence_tol=1.0)
-    axes = 2 if kind == "2d" else 1  # 2-D: one pass per axis
-    first = _mean_gain(antenna, quadrature)
-    assert points == axes * _linspace(0.0, 2.0 * math.pi, 2 * 181 - 1)
-    assert _mean_gain(antenna, quadrature) == first
-    assert len(points) == axes * (2 * 181 - 1)
+    grid = _linspace(0.0, 2.0 * math.pi, 2 * 181 - 1)
+    for antenna in (design, design.replace(theta_3db_deg=60.0)):
+        calls.clear()
+        first = _mean_gain(antenna, quadrature)
+        assert {angle for _, angles in calls for angle in angles} <= set(grid)
+        axes = {}
+        for axis, angles in calls:
+            axes.setdefault(axis, []).append(angles)
+        assert len(axes) == (2 if kind == "2d" else 1)  # 2-D: one pass per axis
+        for axis, (*probes, window) in axes.items():
+            # each axis is evaluated in one pass, no point twice; a parabolic axis
+            # only at its end point and in its main-lobe window, after at most
+            # three single-point probes per edge of that window
+            assert len(set(window)) == len(window)
+            if kind == "array":
+                assert window == grid and not probes
+            else:
+                assert all(len(probe) == 1 for probe in probes) and len(probes) <= 2 * 3
+                assert set(window) == {grid[-1], *(
+                    angle for angle in grid[:-1]
+                    if _parabolic_db(antenna, angle, axis[0]) < antenna.sidelobe_floor_db)}
+        evaluated = len(calls)
+        assert _mean_gain(antenna, quadrature) == first
+        assert len(calls) == evaluated
 
 
 # The scalar pattern helpers as first written, kept as the byte-level
@@ -601,6 +622,95 @@ def test_the_row_walk_equals_the_bisected_reference_at_its_edges(samples):
             reached += [_walk_cases(variant, samples), _walk_cases(variant, 2 * samples - 1)]
     for case in range(4):
         assert any(classes[case] for classes in reached), case
+
+
+def _parabolic_boresights(antenna):
+    if antenna.omni_azimuth:
+        return [antenna.boresight_elevation_deg]
+    return [antenna.boresight_elevation_deg, antenna.boresight_azimuth_deg]
+
+
+def _window_cases(antenna, samples):
+    """Which edges of the main-lobe windows ``antenna`` reaches on ``samples`` points,
+    on either parabolic axis: a window that holds the first and the last point of
+    the cycle (the grid less its end point) but not every point, a window that
+    holds every point, a window that holds none, and a floor equal to one point's
+    attenuation."""
+    grid = _linspace(0.0, 2.0 * math.pi, samples)
+    floor_db = antenna.sidelobe_floor_db
+    cases = []
+    for boresight in _parabolic_boresights(antenna):
+        atts = [_parabolic_db(antenna, angle, boresight) for angle in grid]
+        below = [att < floor_db for att in atts[:-1]]
+        cases.append((below[0] and below[-1] and not all(below), all(below), not any(below),
+                      floor_db in atts))
+    return [any(axis[case] for axis in cases) for case in range(4)]
+
+
+def _assert_main_lobes(antenna, samples):
+    """On the doubled grid, ``_main_lobe`` keeps the end point and exactly the
+    points of the cycle below the floor, at the scalar reference's attenuations."""
+    grid = _grid(2 * samples - 1)
+    floor_db = antenna.sidelobe_floor_db
+    for boresight in _parabolic_boresights(antenna):
+        w, lo, atts = exposure._main_lobe(grid, boresight, antenna.theta_3db_deg, floor_db)
+        kept = [*range(w), *range(lo, lo + len(atts) - w - 1), len(grid) - 1]
+        want = [_parabolic_db(antenna, angle, boresight) for angle in grid]
+        assert kept == [i for i, att in enumerate(want[:-1]) if att < floor_db] + \
+            [len(grid) - 1], (antenna, boresight)
+        assert atts == [want[i] for i in kept]
+
+
+@pytest.mark.parametrize("samples", [181, 721, 1441])
+def test_the_main_lobe_windows_equal_the_scalar_reference_at_their_edges(samples):
+    rng = random.Random(f"lobe-{samples}")
+    step_deg = 360.0 / (2 * samples - 2)  # of the doubled grid
+    reached = []
+    # 0 puts the window across the first and the last point, +-180 puts it across
+    # the middle with the wrap of the offset at the ends, +-540 the same after a turn
+    for boresight in (0.0, 180.0, -180.0, 540.0, -540.0):
+        for omni in (True, False):
+            designs = [
+                (rng.uniform(20.0, 120.0), rng.uniform(5.0, 40.0)),
+                (180.0, 1.0e6),  # nothing clipped: the window holds every point
+                # a lobe narrower than half a step, half a step off the grid: no point survives
+                (1.0, 0.01, boresight + 0.5 * step_deg),
+            ]
+            for theta_3db, floor_db, *off_grid in designs:
+                antenna = AntennaConfig(
+                    model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=8.0,
+                    theta_3db_deg=theta_3db, sidelobe_floor_db=floor_db,
+                    boresight_elevation_deg=off_grid[0] if off_grid else boresight,
+                    boresight_azimuth_deg=off_grid[0] if off_grid else -boresight,
+                    omni_azimuth=omni)
+                variants = [antenna]
+                # floors on a point's attenuation inside the lobe, which puts that
+                # point just outside the window, and one double above, just inside
+                grid = _linspace(0.0, 2.0 * math.pi, 2 * samples - 1)
+                atts = sorted(_parabolic_db(antenna, angle, antenna.boresight_elevation_deg)
+                              for angle in grid)
+                lobe = [att for att in atts if 0.0 < att < 40.0]
+                for att in {*lobe[len(lobe) // 3:len(lobe) // 3 + 1], *lobe[-1:]}:
+                    variants += [antenna.replace(sidelobe_floor_db=floor_db)
+                                 for floor_db in (att, math.nextafter(att, math.inf))]
+                for variant in variants:
+                    assert _pattern_means(variant, samples) == \
+                        _reference_means(variant, samples), variant
+                    _assert_main_lobes(variant, samples)
+                    reached += [_window_cases(variant, samples),
+                                _window_cases(variant, 2 * samples - 1)]
+    for case in range(4):
+        assert any(cases[case] for cases in reached), case
+
+
+def test_a_boresight_too_large_for_the_window_keeps_every_point():
+    # near 1e18 degrees the wrapped offsets round to steps coarser than the grid,
+    # so they no longer rise along it and the window's edges cannot be stepped to
+    antenna = AntennaConfig(
+        model=PatternModel.PARABOLIC_ENVELOPE, g_max_dbi=5.0,
+        theta_3db_deg=40.335320041450004, sidelobe_floor_db=15.087165336993655,
+        boresight_elevation_deg=1.4595923309994278e+18)
+    assert _pattern_means(antenna, 361) == _reference_means(antenna, 361)
 
 
 def test_the_kernels_equal_the_scalar_reference_at_every_point():
